@@ -5,8 +5,7 @@ Exit codes are a stable contract: 0 for success (or a nonempty result),
 usage errors, 3 for resource overflows.  With ``--format json`` errors are
 emitted as machine-readable JSON on stderr.
 
-All output is ordered by canonical key and is independent of ``--threads``;
-the flag is validated and recorded but execution is sequential.
+All output is ordered by canonical key; execution is sequential.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .complexes import (
     boundary_complex,
     check_theorem,
     flag_verdict,
+    high_genus_divisors,
     high_genus_pair_components,
     high_genus_triple,
     pinwheel_family,
@@ -63,29 +63,21 @@ class RunConfig:
     max_graphs: int
     max_dim: int | None
     format: str
-    threads: int
 
     def __post_init__(self) -> None:
         if self.max_graphs < 1:
             raise ValueError("--max-graphs must be positive")
         if self.format not in FORMATS:
             raise ValueError(f"--format must be one of {FORMATS}")
-        if self.threads < 1:
-            raise ValueError("--threads must be positive")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cache = args.cache_dir or os.environ.get("STRATA_CACHE_DIR") or None
-    if args.threads == "auto":
-        threads = os.cpu_count() or 1
-    else:
-        threads = int(args.threads)
     return RunConfig(
         cache_dir=Path(cache) if cache else None,
         max_graphs=args.max_graphs,
         max_dim=args.max_dim,
         format=args.format,
-        threads=threads,
     )
 
 
@@ -379,13 +371,7 @@ def _paper_suite_checks(store: StratumStore):
 
     def high_genus_triple_check(g, n):
         sig = GnSignature(g, n)
-        all_marks = tuple(range(1, n + 1))
-        rest = tuple(range(2, n + 1))
-        D = {
-            1: chain([(g - 1, ()), (1, all_marks)]),
-            2: chain([(g - 1, (1,)), (1, rest)]),
-            3: chain([(g - 1, rest), (1, (1,))]),
-        }
+        D = high_genus_divisors(g, n)
         shown = high_genus_pair_components(g, n)
         for (i, j), displayed in shown.items():
             S = divisor_set(sig, [D[i], D[j]], store)
@@ -455,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--max-dim", type=int, default=None, help="complex build depth")
     common.add_argument("--format", choices=FORMATS, default="text")
-    common.add_argument("--threads", default="auto", help="worker count (informational)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

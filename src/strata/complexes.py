@@ -359,19 +359,24 @@ def pinwheel_pair_component(n: int, i: int, j: int) -> DualGraph:
     return chain([(1, (i,)), (0, rest), (1, (j,))])
 
 
+def high_genus_divisors(g: int, n: int) -> dict[int, DualGraph]:
+    """The three divisor graphs of the g >= 3, n >= 2 counterexample, keyed 1-based."""
+    if g < 3 or n < 2:
+        raise ValueError("high-genus triple needs g >= 3 and n >= 2")
+    rest = tuple(range(2, n + 1))
+    return {
+        1: chain([(g - 1, ()), (1, tuple(range(1, n + 1)))]),
+        2: chain([(g - 1, (1,)), (1, rest)]),
+        3: chain([(g - 1, rest), (1, (1,))]),
+    }
+
+
 def high_genus_triple(
     g: int, n: int, store: StratumStore | None = None
 ) -> DivisorSet:
     """The three divisors of the g >= 3, n >= 2 counterexample."""
-    if g < 3 or n < 2:
-        raise ValueError("high-genus triple needs g >= 3 and n >= 2")
-    sig = GnSignature(g, n)
-    all_marks = tuple(range(1, n + 1))
-    rest = tuple(range(2, n + 1))
-    D1 = chain([(g - 1, ()), (1, all_marks)])
-    D2 = chain([(g - 1, (1,)), (1, rest)])
-    D3 = chain([(g - 1, rest), (1, (1,))])
-    return divisor_set(sig, [D1, D2, D3], store)
+    D = high_genus_divisors(g, n)
+    return divisor_set(GnSignature(g, n), list(D.values()), store)
 
 
 def high_genus_pair_components(g: int, n: int) -> dict[tuple[int, int], DualGraph]:

@@ -30,7 +30,7 @@ from .graphs import (
     two_vertex_divisor,
 )
 
-GENERATOR_VERSION = "1"
+GENERATOR_VERSION = "2"
 STRATUMSET_SCHEMA = "stratumset/1"
 DEFAULT_MAX_GRAPHS = 10**6
 

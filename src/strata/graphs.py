@@ -9,6 +9,9 @@ graphs, degeneration tests) return new graphs.
 Isomorphism fixes leg labels pointwise and may permute vertices and parallel
 edges.  :func:`canonical_key` assigns each isomorphism class a unique byte
 string, so keys double as dictionary keys and as a deterministic total order.
+It colours vertices by genus, valence and legs, refines the colouring by
+neighbour colours and individualizes vertices of cells that stay shared;
+graphs whose first colours are all distinct skip that search.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 GRAPH_SCHEMA = "dualgraph/1"
@@ -275,35 +278,63 @@ def _encode(encoding: tuple) -> bytes:
     ).encode("ascii")
 
 
+def _leaves(colour: list[int], nbrs: list[dict[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Discrete colourings at the leaves of the individualization tree.
+
+    ``colour`` holds dense ranks.  Rounds recolour ``v`` by the rank of (its
+    colour, sorted (neighbour colour, edge multiplicity) pairs) until the
+    cell count stops growing; ranks of invariant values keep the cell order
+    invariant.  Then each vertex of the first non-singleton cell in turn is
+    put ahead of the rest of its cell and the search recurses.  A leaf maps
+    ``v`` to ``colour[v]``.
+    """
+    cells, grown = len(set(colour)), True
+    while grown and cells < len(colour):
+        sig = [
+            (colour[v], tuple(sorted((colour[w], m) for w, m in nv.items())))
+            for v, nv in enumerate(nbrs)
+        ]
+        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        cells, grown = len(rank), len(rank) > cells
+    if cells == len(colour):
+        yield tuple(colour)
+        return
+    target = min(c for c in colour if colour.count(c) > 1)
+    for v in [v for v, c in enumerate(colour) if c == target]:
+        split = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colour)]
+        yield from _leaves(split, nbrs)
+
+
 @lru_cache(maxsize=None)
 def canonical_key(G: DualGraph) -> bytes:
     """Canonical byte key of the isomorphism class of ``G``.
 
-    Vertices are first partitioned by the invariant (genus, valence,
-    incident leg labels) with cells ordered by invariant value; the key is
-    the minimum relabeled encoding over all vertex orderings that respect
-    that partition.  The invariant is preserved by every isomorphism, so
-    isomorphic graphs minimize over identical domains and agree.
+    Vertices are coloured by the rank of (genus, valence, incident leg
+    labels).  If these colours are all distinct, as when every vertex
+    carries a leg, the one ordering they give is encoded.  Otherwise the key
+    is the minimum relabeled encoding over the leaves of a refine and
+    individualize search (:func:`_leaves`; McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).  Each step depends only on the coloured graph,
+    so isomorphic graphs reach the same leaf encodings; each leaf relabels
+    ``G``, so equal keys mean isomorphic graphs.
     """
     V = G.num_vertices
-    invariant = [(G.genus[v], G.valence(v), G.legs_at(v)) for v in range(V)]
-    cells: dict[tuple, list[int]] = {}
-    for v in range(V):
-        cells.setdefault(invariant[v], []).append(v)
-    ordered_cells = [cells[inv] for inv in sorted(cells)]
-    best: tuple | None = None
-    for cell_perms in product(*(permutations(c) for c in ordered_cells)):
-        new_id = [0] * V
-        pos = 0
-        for cell in cell_perms:
-            for v in cell:
-                new_id[v] = pos
-                pos += 1
-        enc = _relabeled(G, tuple(new_id))
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return _encode(best)
+    valence = [0] * V
+    nbrs: list[dict[int, int]] = [{} for _ in range(V)]
+    for i, j in G.edges:
+        valence[i] += 1
+        valence[j] += 1
+        nbrs[i][j] = nbrs[i].get(j, 0) + 1
+        if i != j:
+            nbrs[j][i] = nbrs[j].get(i, 0) + 1
+    legs_at: list[list[int]] = [[] for _ in range(V)]
+    for m, v in enumerate(G.legs):
+        legs_at[v].append(m + 1)
+    invariant = [(G.genus[v], valence[v] + len(ls), tuple(ls)) for v, ls in enumerate(legs_at)]
+    rank = {inv: r for r, inv in enumerate(sorted(set(invariant)))}
+    colour = [rank[inv] for inv in invariant]
+    return _encode(min(_relabeled(G, leaf) for leaf in _leaves(colour, nbrs)))
 
 
 def key_to_hex(key: bytes) -> str:
@@ -381,25 +412,3 @@ def chain(pieces: Iterable[tuple[int, Iterable[int]]], loop_at_end: bool = False
         raise ValueError("mark labels must be 1..n")
     legs = tuple(marks[m] for m in range(1, n + 1))
     return DualGraph(genus, tuple(edges), legs)
-
-
-def vertex_isomorphisms(G: DualGraph, H: DualGraph) -> Iterator[tuple[int, ...]]:
-    """Yield every vertex bijection G -> H that is an isomorphism.
-
-    Tries all permutations; kept as the reference oracle for
-    :func:`is_isomorphic` on small graphs.
-    """
-    if G.num_vertices != H.num_vertices or G.n != H.n or G.num_edges != H.num_edges:
-        return
-    h_edges = sorted(H.edges)
-    for perm in permutations(range(G.num_vertices)):
-        if any(H.genus[perm[v]] != G.genus[v] for v in range(G.num_vertices)):
-            continue
-        if any(perm[G.legs[m]] != H.legs[m] for m in range(G.n)):
-            continue
-        mapped = sorted(
-            (perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
-            for i, j in G.edges
-        )
-        if mapped == h_edges:
-            yield perm

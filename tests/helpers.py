@@ -167,3 +167,25 @@ def oracle_strata(g: int, n: int, k: int) -> dict[tuple, tuple]:
                         raw_graph = (genus, edges, tuple(legs))
                         classes.setdefault(oracle_canon(*raw_graph), raw_graph)
     return classes
+
+
+def vertex_isomorphisms(G: DualGraph, H: DualGraph):
+    """Yield every vertex bijection G -> H that is an isomorphism.
+
+    Tries all permutations; the reference oracle for ``is_isomorphic`` and
+    ``canonical_key`` on small graphs.
+    """
+    if G.num_vertices != H.num_vertices or G.n != H.n or G.num_edges != H.num_edges:
+        return
+    h_edges = sorted(H.edges)
+    for perm in permutations(range(G.num_vertices)):
+        if any(H.genus[perm[v]] != G.genus[v] for v in range(G.num_vertices)):
+            continue
+        if any(perm[G.legs[m]] != H.legs[m] for m in range(G.n)):
+            continue
+        mapped = sorted(
+            (perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
+            for i, j in G.edges
+        )
+        if mapped == h_edges:
+            yield perm

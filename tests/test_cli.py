@@ -254,6 +254,16 @@ def test_bad_config_rejected(capsys):
     assert "max-graphs" in err
 
 
+def test_threads_option_removed(capsys):
+    try:
+        main(["enumerate", "--g", "1", "--n", "1", "--k", "1", "--threads", "2"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        raise AssertionError("--threads was accepted")
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "strata.cli", "--version"],

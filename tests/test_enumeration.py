@@ -68,6 +68,18 @@ def test_top_codimension_strata_are_trivalent(store, g, n):
         assert all(G.valence(v) == 3 for v in range(G.num_vertices))
 
 
+# The top level k = 3g-3 of (g,0) consists of the connected trivalent
+# multigraphs with loops on 2g-2 vertices, counted in the literature
+# (OEIS A005967), not by this code.
+TRIVALENT_COUNTS = {2: 2, 3: 5, 4: 17, 5: 71}
+
+
+@pytest.mark.parametrize("g,expected", sorted(TRIVALENT_COUNTS.items()))
+def test_top_level_of_g0_counts_trivalent_multigraphs(store, g, expected):
+    sig = GnSignature(g, 0)
+    assert count_strata(sig, sig.dim, store) == expected
+
+
 def test_every_level_matches_signature(store):
     sig = GnSignature(2, 2)
     for k in range(1, sig.dim + 1):
@@ -131,7 +143,7 @@ def test_cache_roundtrip(tmp_path):
     assert path.is_file()
     payload = json.loads(path.read_text())
     assert payload["schema"] == "stratumset/1"
-    assert payload["generator_version"] == "1"
+    assert payload["generator_version"] == "2"
     assert payload["k"] == 2
     reader = StratumStore(cache_dir=tmp_path)
     assert reader.level(sig, 2).keys() == expected
@@ -147,7 +159,7 @@ def test_stale_cache_regenerated(tmp_path):
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
     assert reader.level(sig, 1).keys() == expected
-    assert json.loads(path.read_text())["generator_version"] == "1"
+    assert json.loads(path.read_text())["generator_version"] == "2"
 
 
 def test_corrupt_cache_regenerated(tmp_path):

@@ -14,9 +14,8 @@ from strata import (
     key_to_hex,
     one_vertex,
     two_vertex_divisor,
-    vertex_isomorphisms,
 )
-from helpers import relabel
+from helpers import relabel, vertex_isomorphisms
 
 
 def parallel_edge_graph() -> DualGraph:

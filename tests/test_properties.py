@@ -25,9 +25,8 @@ from strata import (
     is_tree_type,
     sigma,
     strata,
-    vertex_isomorphisms,
 )
-from helpers import relabel
+from helpers import relabel, vertex_isomorphisms
 
 POOL_SIGS = [
     (0, 5), (0, 6), (0, 7),
