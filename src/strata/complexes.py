@@ -3,22 +3,24 @@
 The boundary complex of a signature has one vertex per boundary divisor and
 a face for every set of divisors with nonempty intersection; a j-face is
 witnessed by a j-edge stable graph whose one-edge smoothings are j distinct
-divisors.  Faces of smaller size follow by smoothing, so the complex is
-downward closed by construction (and verified to be).
+divisors; the store's face map (:meth:`StratumStore.faces`) lists them.
+Faces of smaller size follow by smoothing, so the complex is downward
+closed by construction (and verified to be).
 
 Flag checking walks cliques of the 1-skeleton level by level: as long as
 every clique of the current size is a face, its extensions are enumerated;
 the first non-face clique encountered is a minimal witness (smallest size,
-then lexicographic in canonical-key order).  :func:`check_theorem` runs the
-same walk against lazily enumerated levels, so a small witness never forces
-a deep enumeration.
+then lexicographic in canonical-key order).  :func:`is_flag` tests cliques
+against a built complex; :func:`flag_verdict` (and :func:`check_theorem`)
+against the store's face map, one level at a time, so a small witness
+never forces a deep enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .enumeration import BudgetExceededError, StratumStore, default_store
 from .graphs import DualGraph, GnSignature, chain, key_to_hex
@@ -52,12 +54,7 @@ class BoundaryComplex:
         return face in self.faces.get(len(face), frozenset())
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in self.vertices]
-        for face in self.faces.get(2, frozenset()):
-            u, v = sorted(face)
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return _adjacency(len(self.vertices), self.faces.get(2, ()))
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal faces, as sorted index tuples in lexicographic order."""
@@ -94,10 +91,6 @@ class BoundaryComplex:
         return "\n".join(lines) + "\n"
 
 
-def _face_size_cap(sig: GnSignature, num_vertices: int) -> int:
-    return min(sig.dim, num_vertices)
-
-
 def boundary_complex(
     sig: GnSignature,
     max_dim: int | None = None,
@@ -114,22 +107,27 @@ def boundary_complex(
     table = store.divisors(sig)
     vertices = table.keys()
     index = {key: i for i, key in enumerate(vertices)}
-    depth = sig.dim if max_dim is None else max_dim
-    depth = min(depth, _face_size_cap(sig, len(vertices)))
+    depth = min(sig.dim if max_dim is None else max_dim, len(vertices))
     faces: dict[int, frozenset[frozenset[int]]] = {}
     if vertices:
         faces[1] = frozenset(frozenset((i,)) for i in range(len(vertices)))
     for j in range(2, depth + 1):
-        level_faces = set()
-        for G in store.level(sig, j):
-            support = G.delta_support()
-            if len(support) == j:
-                level_faces.add(frozenset(index[k] for k in support))
-        faces[j] = frozenset(level_faces)
+        faces[j] = frozenset(
+            frozenset(index[k] for k in support) for support in store.faces(sig, j)
+        )
     _verify_downward_closed(faces)
     return BoundaryComplex(
         sig, vertices, tuple(table.graphs.values()), faces, depth
     )
+
+
+def _adjacency(num_vertices: int, edges: Iterable[frozenset[int]]) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(num_vertices)]
+    for face in edges:
+        u, v = sorted(face)
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> None:
@@ -176,8 +174,8 @@ def _clique_walk(
     adjacency: list[set[int]],
     is_face: Callable[[frozenset[int]], bool],
     cap: int,
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Level-by-level clique search for a minimal non-face clique.
+) -> tuple[int, ...] | None:
+    """Level-by-level clique search for a minimal non-face clique, or None.
 
     Cliques of size j+1 are extensions of size-j cliques by a vertex above
     their maximum, so each clique is generated once; a level is extended
@@ -202,9 +200,30 @@ def _clique_walk(
                 else:
                     nonfaces.append(nc)
         if nonfaces:
-            return False, min(nonfaces)
+            return min(nonfaces)
         cliques = next_level
-    return True, None
+    return None
+
+
+def _flag_walk(
+    sig: GnSignature,
+    vertices: tuple[bytes, ...],
+    edges: Iterable[frozenset[int]],
+    is_face: Callable[[frozenset[int]], bool],
+) -> FlagVerdict:
+    """Run :func:`_clique_walk` on the 1-skeleton spanned by ``edges``.
+
+    Faces are sets of indices into ``vertices``; a failing clique becomes
+    the witness, reported by its divisor keys.
+    """
+    witness = _clique_walk(_adjacency(len(vertices), edges), is_face, sig.dim)
+    if witness is None:
+        return FlagVerdict(True, None)
+    keys = tuple(vertices[i] for i in witness)
+    return FlagVerdict(
+        False,
+        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True),
+    )
 
 
 def is_flag(C: BoundaryComplex) -> FlagVerdict:
@@ -213,7 +232,6 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
     Raises ``ValueError`` when ``C`` was built too shallow for the verdict
     to be determined (only possible for truncated complexes).
     """
-    cap = _face_size_cap(C.signature, len(C.vertices))
 
     def face_test(face: frozenset[int]) -> bool:
         if len(face) > C.max_dim:
@@ -223,15 +241,7 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
             )
         return C.is_face(face)
 
-    ok, witness = _clique_walk(C.adjacency(), face_test, cap)
-    if ok:
-        return FlagVerdict(True, None)
-    assert witness is not None
-    keys = tuple(C.vertices[i] for i in witness)
-    return FlagVerdict(
-        False,
-        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True),
-    )
+    return _flag_walk(C.signature, C.vertices, C.faces.get(2, ()), face_test)
 
 
 def flag_verdict(sig: GnSignature, store: StratumStore | None = None) -> FlagVerdict:
@@ -242,39 +252,14 @@ def flag_verdict(sig: GnSignature, store: StratumStore | None = None) -> FlagVer
     small witnesses cheap.
     """
     store = store or default_store()
-    table = store.divisors(sig)
-    vertices = table.keys()
+    vertices = store.divisors(sig).keys()
     index = {key: i for i, key in enumerate(vertices)}
-    cap = _face_size_cap(sig, len(vertices))
-    levels: dict[int, frozenset[frozenset[int]]] = {}
-
-    def faces_of_size(j: int) -> frozenset[frozenset[int]]:
-        if j not in levels:
-            levels[j] = frozenset(
-                frozenset(index[k] for k in G.delta_support())
-                for G in store.level(sig, j)
-                if len(G.delta_support()) == j
-            )
-        return levels[j]
-
-    if not vertices:
-        return FlagVerdict(True, None)
-    adjacency: list[set[int]] = [set() for _ in vertices]
-    if cap >= 2:
-        for face in faces_of_size(2):
-            u, v = sorted(face)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    ok, witness = _clique_walk(
-        adjacency, lambda face: face in faces_of_size(len(face)), cap
-    )
-    if ok:
-        return FlagVerdict(True, None)
-    assert witness is not None
-    keys = tuple(vertices[i] for i in witness)
-    return FlagVerdict(
-        False,
-        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True),
+    pairs = store.faces(sig, 2) if sig.dim >= 2 else {}
+    return _flag_walk(
+        sig,
+        vertices,
+        (frozenset(index[k] for k in pair) for pair in pairs),
+        lambda face: frozenset(vertices[i] for i in face) in store.faces(sig, len(face)),
     )
 
 

@@ -21,6 +21,12 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Mapping
 
+try:
+    # hashlib loads OpenSSL (about 3.6 MB of RSS); the built-in module is lean.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from .graphs import (
     DualGraph,
     GnSignature,
@@ -205,8 +211,10 @@ class StratumStore:
     """Level cache: in-memory always, optionally mirrored to disk.
 
     Disk layout is ``<cache_dir>/g<g>n<n>/k<k>.json`` with schema
-    ``stratumset/1``; files with a stale generator version or damaged
-    contents are regenerated.
+    ``stratumset/1``, a graph count and a SHA-256 of the sorted keys; files
+    with a stale generator version, damaged contents or a count or digest
+    that does not match are regenerated.  ``max_graphs`` bounds loaded
+    levels as well as generated ones.
     """
 
     def __init__(
@@ -220,6 +228,7 @@ class StratumStore:
         self.max_graphs = max_graphs
         self._levels: dict[tuple[int, int, int], StratumSet] = {}
         self._divisors: dict[tuple[int, int], StratumSet] = {}
+        self._faces: dict[tuple[int, int, int], Mapping[frozenset[bytes], tuple]] = {}
 
     # -- public lookups ---------------------------------------------------
 
@@ -234,6 +243,23 @@ class StratumStore:
         if key not in self._divisors:
             self._divisors[key] = divisors_direct(sig)
         return self._divisors[key]
+
+    def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:
+        """The k-faces of the boundary complex with the strata realizing them.
+
+        Maps each set of k divisors with nonempty intersection to the k-edge
+        graphs whose one-edge smoothings are exactly those divisors, in key
+        order: the components of that intersection.
+        """
+        mem_key = (sig.g, sig.n, k)
+        if mem_key not in self._faces:
+            faces: dict[frozenset[bytes], tuple[DualGraph, ...]] = {}
+            for G in self.level(sig, k):
+                support = G.delta_support()
+                if len(support) == k:
+                    faces[support] = faces.get(support, ()) + (G,)
+            self._faces[mem_key] = faces
+        return self._faces[mem_key]
 
     # -- internals --------------------------------------------------------
 
@@ -283,16 +309,25 @@ class StratumStore:
                 ):
                     return None
                 found[canonical_key(G)] = G
-            return _make_set(sig, k, found)
+            level = _make_set(sig, k, found)
+            if obj["count"] != len(level) or obj["sha256"] != _digest(level):
+                return None
         except (ValueError, KeyError, TypeError, OSError):
             return None
+        if len(level) > self.max_graphs:
+            raise BudgetExceededError(
+                f"level {sig} k={k} in {path} exceeds budget of {self.max_graphs} graphs"
+            )
+        return level
 
     def _save(self, level: StratumSet) -> None:
         path = self._path(level.signature, level.edge_count)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(level.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        obj = level.to_json_obj()
+        obj.update(count=len(level), sha256=_digest(level))
+        payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -301,6 +336,11 @@ class StratumStore:
         except OSError:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+
+def _digest(level: StratumSet) -> str:
+    """SHA-256 of a level's keys in order, joined by newlines (keys are ASCII)."""
+    return sha256(b"\n".join(level.graphs)).hexdigest()
 
 
 _DEFAULT_STORE: StratumStore | None = None

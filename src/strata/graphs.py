@@ -135,20 +135,15 @@ class DualGraph:
         ends = sum((i == v) + (j == v) for i, j in self.edges)
         return ends + sum(1 for w in self.legs if w == v)
 
-    def legs_at(self, v: int) -> tuple[int, ...]:
-        return tuple(m + 1 for m, w in enumerate(self.legs) if w == v)
-
     def is_stable(self) -> bool:
         """Genus-0 vertices need valence >= 3, genus-1 vertices >= 1."""
-        for v, g in enumerate(self.genus):
-            if g >= 2:
-                continue
-            val = self.valence(v)
-            if g == 0 and val < 3:
-                return False
-            if g == 1 and val < 1:
-                return False
-        return True
+        val = [0] * self.num_vertices
+        for i, j in self.edges:
+            val[i] += 1
+            val[j] += 1
+        for v in self.legs:
+            val[v] += 1
+        return all(g >= 2 or val[v] >= (1 if g else 3) for v, g in enumerate(self.genus))
 
     def has_loop(self) -> bool:
         return any(i == j for i, j in self.edges)

@@ -4,8 +4,10 @@ A set of k distinct boundary divisors meets in a (possibly empty) union of
 codimension-k strata; because the boundary has normal crossings, those
 strata are exactly the k-edge stable graphs whose one-edge smoothings are
 pairwise distinct and realize the given divisor set.  That geometric fact
-is taken as an assumption; :func:`intersect_nonempty_superset` keeps the
-equivalent superset-style search around as a cross-check.
+is taken as an assumption, so an intersection is a lookup in the store's
+face map (:meth:`StratumStore.faces`).  The test suite cross-checks it
+against a superset-style search over all edge counts and against a plain
+scan of level k.
 
 The genus-1 reduction trades the unique genus-1 vertex of a tree-type graph
 for a genus-0 vertex carrying two fresh marks, giving a bijection onto the
@@ -115,32 +117,11 @@ def intersection_components(
     k = len(S)
     if k > sig.dim:
         raise ValueError(f"{k} divisors exceed the dimension {sig.dim} of {sig}")
-    want = frozenset(S.keys)
-    comps = tuple(G for G in store.level(sig, k) if G.delta_support() == want)
-    return IntersectionReport(S, comps)
+    return IntersectionReport(S, store.faces(sig, k).get(frozenset(S.keys), ()))
 
 
 def intersect_nonempty(S: DivisorSet, store: StratumStore | None = None) -> bool:
     return intersection_components(S, store).nonempty
-
-
-def intersect_nonempty_superset(
-    S: DivisorSet, store: StratumStore | None = None
-) -> bool:
-    """Slow cross-check: does any stratum lie on every divisor of ``S``?
-
-    Scans all edge counts for a graph whose divisor support contains ``S``;
-    must agree with :func:`intersect_nonempty` (redundant edges of such a
-    graph can be smoothed away one at a time).
-    """
-    store = store or default_store()
-    sig = S.signature
-    want = set(S.keys)
-    for k in range(len(S), sig.dim + 1):
-        for G in store.level(sig, k):
-            if want <= G.delta_support():
-                return True
-    return False
 
 
 # -- tree type and the genus-1 reduction -------------------------------------

@@ -1,16 +1,18 @@
 """Independent oracles and small utilities shared by the test modules.
 
-Everything here deliberately avoids the library's enumeration and
+The strata oracles deliberately avoid the library's enumeration and
 canonicalization paths: graphs are raw (genus, edges, legs) tuples,
 generation is a filter over all multigraphs, and deduplication minimizes
-over vertex bijections directly.
+over vertex bijections directly.  The intersection oracles read enumerated
+levels but not the store's face map: one searches every edge count for a
+graph lying on all divisors, the other scans a whole level.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from strata import DualGraph
+from strata import DivisorSet, DualGraph, GnSignature, StratumStore, default_store
 
 
 def raw(G: DualGraph) -> tuple:
@@ -189,3 +191,35 @@ def vertex_isomorphisms(G: DualGraph, H: DualGraph):
         )
         if mapped == h_edges:
             yield perm
+
+
+def intersect_nonempty_superset(S: DivisorSet, store: StratumStore | None = None) -> bool:
+    """Slow cross-check: does any stratum lie on every divisor of ``S``?
+
+    Scans all edge counts for a graph whose divisor support contains ``S``;
+    must agree with ``intersect_nonempty`` (redundant edges of such a graph
+    can be smoothed away one at a time).
+    """
+    store = store or default_store()
+    sig = S.signature
+    want = set(S.keys)
+    for k in range(len(S), sig.dim + 1):
+        for G in store.level(sig, k):
+            if want <= G.delta_support():
+                return True
+    return False
+
+
+def level_supports(sig: GnSignature, k: int, store: StratumStore) -> list[tuple]:
+    """Every graph of level k with its divisor support, in level order."""
+    return [(G, G.delta_support()) for G in store.level(sig, k)]
+
+
+def scan_components(S: DivisorSet, supports: list[tuple]) -> tuple[DualGraph, ...]:
+    """Level-scan oracle for ``intersection_components``.
+
+    The graphs of level |S| whose divisor support equals ``S``, in level
+    order; ``supports`` is ``level_supports`` of that level.
+    """
+    want = frozenset(S.keys)
+    return tuple(G for G, support in supports if support == want)

@@ -25,7 +25,7 @@ def to_nx(G: DualGraph):
     """Simple graph with self-loops: nodes labelled (genus, marks), edges by multiplicity."""
     H = nx.Graph()
     for v, g in enumerate(G.genus):
-        H.add_node(v, label=(g, G.legs_at(v)))
+        H.add_node(v, label=(g, tuple(m + 1 for m, w in enumerate(G.legs) if w == v)))
     for i, j in G.edges:
         if H.has_edge(i, j):
             H[i][j]["mult"] += 1

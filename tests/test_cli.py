@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import strata
 from strata import canonical_key, chain, key_to_hex, one_vertex, two_vertex_divisor
 from strata.cli import main
 
@@ -247,6 +250,27 @@ def test_cache_dir_used(capsys, tmp_path):
     assert (tmp_path / "g1n2" / "k2.json").is_file()
 
 
+def test_tampered_cache_keeps_flag_verdict(capsys, tmp_path):
+    argv = ("flag-check", "--g", "1", "--n", "4", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    path = tmp_path / "g1n4" / "k3.json"
+    payload = json.loads(path.read_text())
+    del payload["graphs"][0]
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "not a flag complex" not in out
+
+
+def test_max_graphs_enforced_on_cached_levels(capsys, tmp_path):
+    argv = ("flag-check", "--g", "1", "--n", "4", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv, "--max-graphs", "5")[0] == 3
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--max-graphs", "5")
+    assert code == 3
+    assert "budget" in err
+
+
 def test_bad_config_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "--g", "1", "--n", "1", "--k", "1",
                        "--max-graphs", "0")
@@ -265,10 +289,14 @@ def test_threads_option_removed(capsys):
 
 
 def test_console_entry_point():
+    # Run the same checkout the suite imports, also when pytest's pythonpath put it there.
+    src = str(Path(strata.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "strata.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "strata" in result.stdout

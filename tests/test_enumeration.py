@@ -172,6 +172,52 @@ def test_corrupt_cache_regenerated(tmp_path):
     assert reader.level(sig, 1).keys() == expected
 
 
+def test_tampered_cache_regenerated(tmp_path):
+    """A level file missing a graph fails its count and digest and is rebuilt."""
+    sig = GnSignature(1, 4)
+    expected = StratumStore(cache_dir=tmp_path).level(sig, 3).keys()
+    path = tmp_path / "g1n4" / "k3.json"
+    payload = json.loads(path.read_text())
+    del payload["graphs"][0]
+    path.write_text(json.dumps(payload))
+    reader = StratumStore(cache_dir=tmp_path)
+    assert reader.level(sig, 3).keys() == expected
+    assert len(json.loads(path.read_text())["graphs"]) == len(expected)
+
+
+@pytest.mark.parametrize("field", ["count", "sha256"])
+def test_cache_without_integrity_field_regenerated(tmp_path, field):
+    sig = GnSignature(2, 2)
+    expected = StratumStore(cache_dir=tmp_path).level(sig, 2).keys()
+    path = tmp_path / "g2n2" / "k2.json"
+    payload = json.loads(path.read_text())
+    assert payload["count"] == len(expected)
+    del payload[field]
+    path.write_text(json.dumps(payload))
+    assert StratumStore(cache_dir=tmp_path).level(sig, 2).keys() == expected
+    assert field in json.loads(path.read_text())
+
+
+def test_budget_enforced_on_cached_levels(tmp_path):
+    sig = GnSignature(0, 5)
+    StratumStore(cache_dir=tmp_path).level(sig, 1)
+    with pytest.raises(BudgetExceededError):
+        StratumStore(cache_dir=tmp_path, max_graphs=3).level(sig, 1)
+
+
+def test_faces_group_level_by_support(store):
+    sig = GnSignature(2, 2)
+    faces = store.faces(sig, 2)
+    assert store.faces(sig, 2) is faces
+    for support, graphs in faces.items():
+        assert len(support) == 2
+        assert all(G.delta_support() == support for G in graphs)
+        assert [canonical_key(G) for G in graphs] == sorted(canonical_key(G) for G in graphs)
+    grouped = sum(len(graphs) for graphs in faces.values())
+    distinct = sum(len(G.delta_support()) == 2 for G in strata(sig, 2, store))
+    assert grouped == distinct
+
+
 def test_divisor_construction_covers_both_shapes(store):
     table = divisors(GnSignature(2, 2), store)
     keys = set(table.keys())

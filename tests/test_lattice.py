@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from strata import (
@@ -11,7 +13,6 @@ from strata import (
     divisor_set,
     high_genus_triple,
     intersect_nonempty,
-    intersect_nonempty_superset,
     intersection_components,
     is_degeneration,
     is_isomorphic,
@@ -23,6 +24,7 @@ from strata import (
     strata,
     two_vertex_divisor,
 )
+from helpers import intersect_nonempty_superset, level_supports, scan_components
 
 
 # -- tree type -----------------------------------------------------------------
@@ -157,6 +159,18 @@ def test_superset_search_agrees(store):
         for combo in itertools.combinations(keys, size):
             S = DivisorSet(sig, combo)
             assert intersect_nonempty(S, store) == intersect_nonempty_superset(S, store)
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (1, 4), (0, 6), (3, 2), (2, 4)])
+def test_components_match_level_scan(store, g, n):
+    """Face-map lookups equal a full scan of the level, components in order."""
+    sig = GnSignature(g, n)
+    keys = strata(sig, 1, store).keys()
+    for size in range(2, min(sig.dim, 3) + 1):
+        supports = level_supports(sig, size, store)
+        for combo in combinations(keys, size):
+            S = DivisorSet(sig, combo)
+            assert intersection_components(S, store).components == scan_components(S, supports)
 
 
 def test_components_have_distinct_deltas_and_right_codim(store):

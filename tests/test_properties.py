@@ -296,7 +296,8 @@ def test_one_edge_degeneration_iff_delta_support(pool, store):
 
 def test_exact_matches_superset_search(store):
     """Exact-codimension search and superset search agree on divisor sets."""
-    from strata import intersect_nonempty, intersect_nonempty_superset
+    from strata import intersect_nonempty
+    from helpers import intersect_nonempty_superset
 
     rng = random.Random(606)
     cases = 0
