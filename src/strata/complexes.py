@@ -230,8 +230,12 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
     """Decide whether every clique of the 1-skeleton spans a face.
 
     Raises ``ValueError`` when ``C`` was built too shallow for the verdict
-    to be determined (only possible for truncated complexes).
+    to be determined (only possible for truncated complexes): below size 2,
+    where the 1-skeleton itself is missing, or below a clique the walk
+    reaches.
     """
+    if C.max_dim < 2 <= min(C.signature.dim, len(C.vertices)):
+        raise ValueError(f"complex truncated at max_dim={C.max_dim}; it has no 1-skeleton")
 
     def face_test(face: frozenset[int]) -> bool:
         if len(face) > C.max_dim:

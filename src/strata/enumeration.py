@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -31,9 +31,8 @@ from .graphs import (
     DualGraph,
     GnSignature,
     canonical_key,
-    key_to_hex,
+    divisor_graph,
     one_vertex,
-    two_vertex_divisor,
 )
 
 GENERATOR_VERSION = "2"
@@ -137,7 +136,7 @@ def _split_children(G: DualGraph, v: int) -> Iterator[DualGraph]:
             for t, m in enumerate(legs_here):
                 if mask >> t & 1:
                     legs[m] = new
-            child = DualGraph(tuple(genus), tuple(edges), tuple(legs))
+            child = DualGraph._trusted(tuple(genus), edges, tuple(legs))
             if child.is_stable():
                 yield child
 
@@ -151,7 +150,7 @@ def _loop_children(G: DualGraph) -> Iterator[DualGraph]:
             continue
         genus = list(G.genus)
         genus[v] = g - 1
-        child = DualGraph(tuple(genus), G.edges + ((v, v),), G.legs)
+        child = DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs)
         assert child.is_stable()
         yield child
 
@@ -182,28 +181,24 @@ def _generate_level(
 def divisors_direct(sig: GnSignature) -> StratumSet:
     """Boundary divisors by direct construction.
 
-    The loop graph (genus g-1, one loop, all legs) when stable, plus every
-    stable split (a, A) -- (g-a, complement); the swap symmetry is removed
-    by keying.  Dimension-0 signatures have no divisors and yield the empty
-    set.
+    Every stable :func:`divisor_graph`: the loop graph (genus g-1, one loop,
+    all legs), then each split (a, A) -- (g-a, complement); the swap
+    symmetry is removed by keying.  Dimension-0 signatures have no divisors
+    and yield the empty set.
     """
     found: dict[bytes, DualGraph] = {}
     if sig.dim >= 1:
-        if sig.g >= 1:
-            loop = one_vertex(sig.g - 1, sig.n, loops=1)
-            if loop.is_stable():
-                found[canonical_key(loop)] = loop
         marks = range(1, sig.n + 1)
-        for a in range(sig.g + 1):
-            for size in range(sig.n + 1):
-                for A in combinations(marks, size):
-                    B = tuple(m for m in marks if m not in A)
-                    if a == 0 and len(A) + 1 < 3:
-                        continue
-                    if sig.g - a == 0 and len(B) + 1 < 3:
-                        continue
-                    G = two_vertex_divisor(a, A, sig.g - a, B)
-                    found.setdefault(canonical_key(G), G)
+        splits = (
+            (a, A)
+            for a in range(sig.g + 1)
+            for size in range(sig.n + 1)
+            for A in combinations(marks, size)
+        )
+        for side in chain([None] if sig.g >= 1 else [], splits):
+            G = divisor_graph(sig.g, sig.n, side)
+            if G.is_stable():
+                found.setdefault(canonical_key(G), G)
     return _make_set(sig, 1, found)
 
 

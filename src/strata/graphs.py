@@ -3,15 +3,23 @@
 A :class:`DualGraph` records the combinatorial type of a nodal curve: one
 vertex per component (decorated with its geometric genus), one edge per node
 (loops allowed), and one numbered leg per marked point.  Everything here is
-an immutable value; the operations (smoothing, contraction to one-edge
-graphs, degeneration tests) return new graphs.
+an immutable value; the operations (smoothing, degeneration tests) return
+new graphs.
 
 Isomorphism fixes leg labels pointwise and may permute vertices and parallel
 edges.  :func:`canonical_key` assigns each isomorphism class a unique byte
 string, so keys double as dictionary keys and as a deterministic total order.
 It colours vertices by genus, valence and legs, refines the colouring by
 neighbour colours and individualizes vertices of cells that stay shared;
-graphs whose first colours are all distinct skip that search.
+graphs whose first colours are all distinct skip that search.  Keys are
+computed afresh on every call; nothing caches them.
+
+The one-edge smoothing of an edge (the divisor its node lies on) is read off
+the graph without building it: an edge on a cycle smooths to the irreducible
+divisor, a bridge to the split of genus and marks between its two sides.
+One spanning-tree pass finds every bridge and its sides, and a small map per
+signature, filled from :func:`divisor_graph`, turns each description into
+the divisor's canonical key.
 """
 
 from __future__ import annotations
@@ -106,6 +114,22 @@ class DualGraph:
         if len({_root(parent, v) for v in range(V)}) != 1:
             raise ValueError("graph is not connected")
 
+    @classmethod
+    def _trusted(cls, genus: tuple[int, ...], edges: Iterable, legs: tuple[int, ...]) -> DualGraph:
+        """Build without validation; edges are still normalised to ``i <= j``.
+
+        Only for graphs made from a valid graph by a move that keeps it
+        valid, such as a vertex split or an added loop.  Input read from
+        outside goes through the validating constructor.
+        """
+        G = object.__new__(cls)
+        vars(G).update(
+            genus=genus,
+            edges=tuple([(i, j) if i <= j else (j, i) for i, j in edges]),
+            legs=legs,
+        )
+        return G
+
     # -- basic shape ------------------------------------------------------
 
     @property
@@ -191,23 +215,20 @@ class DualGraph:
         """Smooth a single edge (merge endpoints, or turn a loop into genus)."""
         return self.smooth_set((edge_id,))
 
-    def delta(self, edge_id: int) -> DualGraph:
-        """The one-edge graph left after smoothing every other edge."""
-        if not (0 <= edge_id < self.num_edges):
-            raise ValueError(f"invalid edge id {edge_id}")
-        return self.smooth_set(e for e in range(self.num_edges) if e != edge_id)
+    def _delta_keys(self) -> list[bytes]:
+        """Divisor key of each edge's one-edge smoothing, in edge order."""
+        if not self.edges:
+            raise ValueError("delta multiset of an edgeless graph")
+        keys = _divisor_keys(self.total_genus, len(self.legs))
+        return [keys[side] for side in _edge_sides(self)]
 
     def delta_multiset(self) -> tuple[bytes, ...]:
         """Keys of the one-edge smoothings, one per edge, sorted (a multiset)."""
-        if self.num_edges == 0:
-            raise ValueError("delta multiset of an edgeless graph")
-        return tuple(
-            sorted(canonical_key(self.delta(e)) for e in range(self.num_edges))
-        )
+        return tuple(sorted(self._delta_keys()))
 
     def delta_support(self) -> frozenset[bytes]:
         """The set of boundary divisors containing this graph's stratum."""
-        return frozenset(self.delta_multiset())
+        return frozenset(self._delta_keys())
 
     # -- serialization ----------------------------------------------------
 
@@ -301,7 +322,6 @@ def _leaves(colour: list[int], nbrs: list[dict[int, int]]) -> Iterator[tuple[int
         yield from _leaves(split, nbrs)
 
 
-@lru_cache(maxsize=None)
 def canonical_key(G: DualGraph) -> bytes:
     """Canonical byte key of the isomorphism class of ``G``.
 
@@ -330,6 +350,86 @@ def canonical_key(G: DualGraph) -> bytes:
     rank = {inv: r for r, inv in enumerate(sorted(set(invariant)))}
     colour = [rank[inv] for inv in invariant]
     return _encode(min(_relabeled(G, leaf) for leaf in _leaves(colour, nbrs)))
+
+
+# -- one-edge smoothings ----------------------------------------------------
+
+
+def _edge_sides(G: DualGraph) -> list[tuple[int, int] | None]:
+    """Per edge, the divisor its one-edge smoothing lands on, as a description.
+
+    ``None`` (the loop divisor) for an edge on a cycle; for a bridge, the
+    lesser of the (genus, mark bitmask) pairs of its two sides.  A spanning
+    tree is grown from vertex 0 and each edge off it gets its own bit; a tree
+    edge is a bridge exactly when those bits XOR to zero over the subtree
+    below it, i.e. no edge off the tree leaves that subtree.  A side of
+    genus ``a`` has ``2a - 1`` equal to the sum of ``2 * genus + edge ends -
+    2`` over its vertices.
+    """
+    genus, edges, legs = G.genus, G.edges, G.legs
+    V = len(genus)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+    for e, (i, j) in enumerate(edges):
+        if i != j:
+            nbrs[i].append((j, e))
+            nbrs[j].append((i, e))
+    parent, up = [0] + [-1] * (V - 1), [-1] * V
+    order = [0]
+    for v in order:
+        for w, e in nbrs[v]:
+            if parent[w] < 0:
+                parent[w], up[w] = v, e
+                order.append(w)
+    cut, weight = [0] * V, [2 * x - 2 for x in genus]
+    for e, (i, j) in enumerate(edges):
+        weight[i] += 1
+        weight[j] += 1
+        if i != j and up[i] != e and up[j] != e:
+            cut[i] ^= 1 << e
+            cut[j] ^= 1 << e
+    marks = [0] * V
+    for m, v in enumerate(legs):
+        marks[v] |= 1 << m
+    g, full = G.total_genus, (1 << len(legs)) - 1
+    sides: list[tuple[int, int] | None] = [None] * len(edges)
+    for v in reversed(order[1:]):
+        if not cut[v]:
+            a = (weight[v] + 1) // 2
+            sides[up[v]] = min((a, marks[v]), (g - a, full ^ marks[v]))
+        p = parent[v]
+        cut[p] ^= cut[v]
+        weight[p] += weight[v]
+        marks[p] |= marks[v]
+    return sides
+
+
+class _DivisorKeys(dict):
+    """Divisor key by :func:`_edge_sides` description, for one signature.
+
+    Each description is keyed through :func:`divisor_graph` on first use.  The
+    sides of a bridge in a stable graph are stable, so on stable graphs the
+    map holds at most one entry per divisor of the signature.
+    """
+
+    def __init__(self, g: int, n: int) -> None:
+        super().__init__()
+        self.g, self.n = g, n
+
+    def __missing__(self, side: tuple[int, int] | None) -> bytes:
+        if side is None:
+            graph = divisor_graph(self.g, self.n, None)
+        else:
+            a, mask = side
+            marks = [m + 1 for m in range(self.n) if mask >> m & 1]
+            graph = divisor_graph(self.g, self.n, (a, marks))
+        key = self[side] = canonical_key(graph)
+        return key
+
+
+@lru_cache(maxsize=16)
+def _divisor_keys(g: int, n: int) -> _DivisorKeys:
+    """The key map of (g, n); the 16 signatures used last keep theirs."""
+    return _DivisorKeys(g, n)
 
 
 def key_to_hex(key: bytes) -> str:
@@ -391,6 +491,21 @@ def two_vertex_divisor(
         raise ValueError("mark labels must be 1..n")
     legs = tuple(0 if m in A else 1 for m in range(1, n + 1))
     return DualGraph((g1, g2), ((0, 1),), legs)
+
+
+def divisor_graph(g: int, n: int, side: tuple[int, Iterable[int]] | None) -> DualGraph:
+    """The one-edge graph of (g, n) with the given description.
+
+    ``None`` is the irreducible divisor: one vertex of genus g-1 with a loop
+    and every leg.  ``(a, A)`` is the split with a genus-``a`` side carrying
+    marks ``A`` and the rest on a genus ``g - a`` side.  Stability is not
+    checked.
+    """
+    if side is None:
+        return one_vertex(g - 1, n, loops=1)
+    a, A = side
+    A = set(A)
+    return two_vertex_divisor(a, A, g - a, [m for m in range(1, n + 1) if m not in A])
 
 
 def chain(pieces: Iterable[tuple[int, Iterable[int]]], loop_at_end: bool = False) -> DualGraph:

@@ -5,14 +5,23 @@ canonicalization paths: graphs are raw (genus, edges, legs) tuples,
 generation is a filter over all multigraphs, and deduplication minimizes
 over vertex bijections directly.  The intersection oracles read enumerated
 levels but not the store's face map: one searches every edge count for a
-graph lying on all divisors, the other scans a whole level.
+graph lying on all divisors, the other scans a whole level.  The delta
+oracle builds and keys each one-edge smoothing instead of reading divisors
+off the graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from strata import DivisorSet, DualGraph, GnSignature, StratumStore, default_store
+from strata import (
+    DivisorSet,
+    DualGraph,
+    GnSignature,
+    StratumStore,
+    canonical_key,
+    default_store,
+)
 
 
 def raw(G: DualGraph) -> tuple:
@@ -27,6 +36,20 @@ def relabel(G: DualGraph, perm: tuple[int, ...]) -> DualGraph:
     edges = tuple((perm[i], perm[j]) for i, j in G.edges)
     legs = tuple(perm[v] for v in G.legs)
     return DualGraph(tuple(genus), edges, legs)
+
+
+def delta(G: DualGraph, edge_id: int) -> DualGraph:
+    """The one-edge graph left after smoothing every other edge of ``G``."""
+    if not (0 <= edge_id < G.num_edges):
+        raise ValueError(f"invalid edge id {edge_id}")
+    return G.smooth_set(e for e in range(G.num_edges) if e != edge_id)
+
+
+def delta_multiset(G: DualGraph) -> tuple[bytes, ...]:
+    """Reference for ``DualGraph.delta_multiset``: key every one-edge smoothing."""
+    if G.num_edges == 0:
+        raise ValueError("delta multiset of an edgeless graph")
+    return tuple(sorted(canonical_key(delta(G, e)) for e in range(G.num_edges)))
 
 
 def _connected(V: int, edges) -> bool:

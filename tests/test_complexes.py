@@ -132,6 +132,21 @@ def test_truncated_complex_refuses_flag_check(store):
         is_flag(C)
 
 
+@pytest.mark.parametrize("max_dim", [0, 1])
+def test_complex_without_one_skeleton_refuses_flag_check(store, max_dim):
+    C = boundary_complex(GnSignature(2, 3), max_dim=max_dim, store=store)
+    with pytest.raises(ValueError, match="truncated"):
+        is_flag(C)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1)])
+def test_full_complex_below_dimension_two_keeps_its_verdict(store, g, n):
+    sig = GnSignature(g, n)
+    C = boundary_complex(sig, store=store)
+    assert C.max_dim < 2
+    assert is_flag(C).is_flag is flag_verdict(sig, store).is_flag is True
+
+
 def test_exports(store):
     C = boundary_complex(GnSignature(2, 2), store=store)
     obj = C.to_json_obj()

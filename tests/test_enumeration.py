@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from hashlib import sha256
 
 import pytest
 
 from strata import (
     BudgetExceededError,
+    DualGraph,
     GnSignature,
     StratumStore,
     canonical_key,
@@ -17,6 +19,7 @@ from strata import (
     strata,
     two_vertex_divisor,
 )
+from strata.enumeration import children
 
 # Stratum counts frozen from the exhaustive filter over all multigraphs
 # (see helpers.oracle_strata, exercised in full in test_completeness).
@@ -121,6 +124,18 @@ def test_budget_overflow_is_an_error():
         tight.level(GnSignature(0, 5), 1)
 
 
+@pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (0, 7), (3, 2)])
+def test_children_equal_validated_construction(store, g, n):
+    """Children are built unchecked; each must pass the validating constructor."""
+    sig = GnSignature(g, n)
+    parents = [smooth_point(sig)]
+    for k in range(1, sig.dim + 1):
+        for G in parents:
+            for child in children(G):
+                assert child == DualGraph(child.genus, child.edges, child.legs)
+        parents = strata(sig, k, store)
+
+
 def test_enumeration_deterministic():
     a = StratumStore().level(GnSignature(2, 2), 2).keys()
     b = StratumStore().level(GnSignature(2, 2), 2).keys()
@@ -183,6 +198,29 @@ def test_tampered_cache_regenerated(tmp_path):
     reader = StratumStore(cache_dir=tmp_path)
     assert reader.level(sig, 3).keys() == expected
     assert len(json.loads(path.read_text())["graphs"]) == len(expected)
+
+
+def test_disconnected_cached_graph_regenerated(tmp_path):
+    """Level files go through the validating constructor, not the trusted one."""
+    sig = GnSignature(2, 2)
+    expected = StratumStore(cache_dir=tmp_path).level(sig, 2).keys()
+    path = tmp_path / "g2n2" / "k2.json"
+    payload = json.loads(path.read_text())
+    # Two loops on a genus-0 vertex beside a genus-1 vertex with both legs:
+    # genus 2, two marks, two edges and stable, but not connected.
+    bad = {
+        "schema": "dualgraph/1",
+        "genus": [0, 1],
+        "edges": [[0, 0], [0, 0]],
+        "legs": {"1": 1, "2": 1},
+    }
+    payload["graphs"][0] = bad
+    keys = [canonical_key(DualGraph.from_json_obj(G)) for G in payload["graphs"][1:]]
+    keys.append(canonical_key(DualGraph._trusted((0, 1), ((0, 0), (0, 0)), (1, 1))))
+    payload.update(count=len(set(keys)), sha256=sha256(b"\n".join(sorted(set(keys)))).hexdigest())
+    path.write_text(json.dumps(payload))
+    assert StratumStore(cache_dir=tmp_path).level(sig, 2).keys() == expected
+    assert bad not in json.loads(path.read_text())["graphs"]
 
 
 @pytest.mark.parametrize("field", ["count", "sha256"])

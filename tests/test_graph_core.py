@@ -8,14 +8,17 @@ from strata import (
     InvalidSignatureError,
     canonical_key,
     chain,
+    divisors,
     is_degeneration,
     is_isomorphic,
     key_from_hex,
     key_to_hex,
     one_vertex,
+    strata,
     two_vertex_divisor,
 )
-from helpers import relabel, vertex_isomorphisms
+from helpers import delta, delta_multiset, relabel, vertex_isomorphisms
+from test_acceptance import GRID
 
 
 def parallel_edge_graph() -> DualGraph:
@@ -136,7 +139,7 @@ def test_smooth_invalid_edge_id():
     with pytest.raises(ValueError, match="invalid edge id"):
         G.smooth_set({0, 3})
     with pytest.raises(ValueError, match="invalid edge id"):
-        G.delta(-1)
+        delta(G, -1)
 
 
 # -- delta -----------------------------------------------------------------------
@@ -144,14 +147,14 @@ def test_smooth_invalid_edge_id():
 
 def test_delta_of_one_edge_graph_is_itself():
     G = two_vertex_divisor(1, (1, 2), 1, ())
-    assert G.delta(0) == G
+    assert delta(G, 0) == G
 
 
 def test_delta_parallel_edges_coincide():
     G = parallel_edge_graph()
     loop = one_vertex(0, 2, loops=1)
-    assert is_isomorphic(G.delta(0), loop)
-    assert is_isomorphic(G.delta(1), loop)
+    assert is_isomorphic(delta(G, 0), loop)
+    assert is_isomorphic(delta(G, 1), loop)
 
 
 def test_delta_two_edge_stratum_recovers_both_divisors():
@@ -160,7 +163,7 @@ def test_delta_two_edge_stratum_recovers_both_divisors():
         canonical_key(two_vertex_divisor(1, (3,), 1, (1, 2))),
         canonical_key(one_vertex(1, 3, loops=1)),
     }
-    assert {canonical_key(G.delta(0)), canonical_key(G.delta(1))} == expected
+    assert {canonical_key(delta(G, 0)), canonical_key(delta(G, 1))} == expected
 
 
 def test_delta_multiset_sizes():
@@ -181,6 +184,18 @@ def test_delta_multiset_common_degeneration():
 def test_delta_multiset_requires_edges():
     with pytest.raises(ValueError):
         one_vertex(2, 0).delta_multiset()
+
+
+def test_delta_multiset_matches_oracle_on_acceptance_grid(store):
+    """Divisors read off the edges equal the keyed one-edge smoothings."""
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        table = divisors(sig, store)
+        for k in range(1, sig.dim + 1):
+            for G in strata(sig, k, store):
+                multiset = G.delta_multiset()
+                assert multiset == delta_multiset(G), (sig, k, G.describe())
+                assert all(key in table for key in multiset), (sig, k, G.describe())
 
 
 # -- canonical keys ---------------------------------------------------------------
