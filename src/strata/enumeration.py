@@ -3,9 +3,12 @@
 Graphs with k edges are generated from the (k-1)-edge level by the two
 inverse smoothing moves: splitting a vertex (distributing its genus, legs
 and edge ends over a new edge) and trading one unit of genus for a loop.
-Every k-edge stable graph smooths to a stable (k-1)-edge graph along any
-edge, and the move that undoes that smoothing is one of the two above, so
-applying both moves to a complete (k-1) level yields a complete k level.
+A child is kept only if its new edge has the least divisor label among its
+edges (ties kept), a weak form of canonical augmentation (McKay 1998).  The
+label order is invariant under isomorphism, every k-edge stable graph has a
+least-labelled edge, and smoothing it gives a stable (k-1)-edge graph that
+one of the two moves undoes, so a complete (k-1) level still yields a
+complete k level.  The label is decided before the child is built.
 
 Levels are deduplicated by canonical key and can be cached on disk, one
 JSON file per (g, n, k).
@@ -30,12 +33,14 @@ except ImportError:
 from .graphs import (
     DualGraph,
     GnSignature,
+    _edge_sides,
+    _root,
     canonical_key,
     divisor_graph,
     one_vertex,
 )
 
-GENERATOR_VERSION = "2"
+GENERATOR_VERSION = "3"
 STRATUMSET_SCHEMA = "stratumset/1"
 DEFAULT_MAX_GRAPHS = 10**6
 
@@ -94,72 +99,122 @@ def smooth_point(sig: GnSignature) -> DualGraph:
     return G
 
 
-def _split_children(G: DualGraph, v: int) -> Iterator[DualGraph]:
-    """Children obtained by splitting vertex ``v`` across a new edge.
+def _vertex_tables(G: DualGraph) -> tuple[list[int], list[int], list[int]]:
+    """Per vertex: valence, side weight ``2 * genus + edge ends - 2`` and mark bitmask."""
+    ends = [0] * G.num_vertices
+    for i, j in G.edges:
+        ends[i] += 1
+        ends[j] += 1
+    valence, marks = list(ends), [0] * G.num_vertices
+    for m, v in enumerate(G.legs):
+        valence[v] += 1
+        marks[v] |= 1 << m
+    return valence, [2 * x + d - 2 for x, d in zip(G.genus, ends)], marks
 
-    Every item incident to v (a leg, a non-loop edge end, or either end of a
-    loop) is assigned to one of the two halves; (genus, assignment) and its
-    mirror give isomorphic children, so only half the range is generated.
+
+def _split_moves(
+    G: DualGraph, v: int, bound: tuple[int, int] | None, tables: tuple
+) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
+    """Stable splits of ``v`` whose new edge is labelled ``None`` or at most ``bound``.
+
+    Yields ``(a1, mask)`` and the label :func:`_edge_sides` gives the new
+    edge: ``v`` keeps genus ``a1``, the new vertex the rest and the items in
+    ``mask`` (legs at ``v`` by mark, then edge ends at ``v`` by edge).  Of a
+    mask and its isomorphic mirror, the one without the last item is tried.
+    The label comes from ``v``'s branches, one per component of ``G - v``
+    and one per loop at ``v``: the new edge is on a cycle exactly when
+    ``mask`` splits a branch, else its far side is the new vertex plus the
+    branches moved whole.  ``tables`` is :func:`_vertex_tables` of ``G``.
     """
-    a = G.genus[v]
+    valence, weight, marks = tables
+    a, items = G.genus[v], valence[v]
+    if a == 0 and items < 4 or bound is None and weight[v] - 2 * a < 0:
+        return  # no stable split, or none that puts the new edge on a cycle (< 2 ends)
     legs_here = [m for m, w in enumerate(G.legs) if w == v]
-    ends: list[tuple[int, int]] = []
+    L = len(legs_here)
+    root = list(range(len(valence)))
+    for i, j in G.edges:
+        if i != v and j != v:
+            root[_root(root, i)] = _root(root, j)
+    branches: dict[int, list[int]] = {}
+    for u, w in enumerate(weight):
+        if u != v:
+            branch = branches.setdefault(_root(root, u), [0, 0, 0])
+            branch[1] += w
+            branch[2] |= marks[u]
+    t = L
     for e, (i, j) in enumerate(G.edges):
-        if i == v:
-            ends.append((e, 0))
-        if j == v:
-            ends.append((e, 1))
-    items = len(legs_here) + len(ends)
-    new = G.num_vertices
+        if i == j == v:
+            branches[-1 - e] = [3 << t, 0, 0]
+            t += 2
+        elif v in (i, j):
+            branches[_root(root, i + j - v)][0] |= 1 << t
+            t += 1
+    if bound is None and all(b & (b - 1) == 0 for b, _, _ in branches.values()):
+        return
+    leg_marks, g, full = [0] * (1 << L), G.total_genus, (1 << G.n) - 1
+    for low in range(1, 1 << L):
+        leg_marks[low] = leg_marks[low & (low - 1)] | 1 << legs_here[(low & -low).bit_length() - 1]
     for a1 in range(a // 2 + 1):
         a2 = a - a1
-        for mask in range(1 << items):
-            if a1 == a2 and mask > (~mask & ((1 << items) - 1)):
+        for mask in range(1 << items >> (a1 == a2) or 1):
+            moved = mask.bit_count()
+            if a1 == 0 and items - moved < 2 or a2 == 0 and moved < 2:
                 continue
-            moved = bin(mask).count("1")
-            if a1 == 0 and (items - moved) + 1 < 3:
-                continue
-            if a2 == 0 and moved + 1 < 3:
-                continue
-            genus = list(G.genus) + [a2]
-            genus[v] = a1
-            side = {}
-            for t, item in enumerate(ends):
-                side[item] = new if mask >> (len(legs_here) + t) & 1 else v
-            edges = []
-            for e, (i, j) in enumerate(G.edges):
-                i2 = side.get((e, 0), i) if i == v else i
-                j2 = side.get((e, 1), j) if j == v else j
-                edges.append((i2, j2))
-            edges.append((v, new))
-            legs = list(G.legs)
-            for t, m in enumerate(legs_here):
-                if mask >> t & 1:
-                    legs[m] = new
-            child = DualGraph._trusted(tuple(genus), edges, tuple(legs))
-            if child.is_stable():
-                yield child
+            W, M = 2 * a2 + (mask >> L).bit_count() - 1, leg_marks[mask & ((1 << L) - 1)]
+            for b, w, mk in branches.values():
+                part = mask & b
+                if part == b:
+                    W, M = W + w, M | mk
+                elif part:
+                    yield a1, mask, None
+                    break
+            else:
+                label = min(((W + 1) // 2, M), (g - (W + 1) // 2, full ^ M))
+                if bound is not None and label <= bound:
+                    yield a1, mask, label
 
 
-def _loop_children(G: DualGraph) -> Iterator[DualGraph]:
-    """Children obtained by trading one unit of genus at a vertex for a loop."""
-    for v, g in enumerate(G.genus):
-        if g == 0:
-            continue
-        if g == 1 and G.valence(v) + 2 < 3:
-            continue
-        genus = list(G.genus)
-        genus[v] = g - 1
-        child = DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs)
-        assert child.is_stable()
-        yield child
+def _split_child(G: DualGraph, v: int, a1: int, mask: int) -> DualGraph:
+    """The child of one :func:`_split_moves` move; the new edge comes last."""
+    new, bit = G.num_vertices, 1
+    genus, legs = list(G.genus) + [G.genus[v] - a1], list(G.legs)
+    genus[v] = a1
+    for m, w in enumerate(G.legs):
+        if w == v:
+            legs[m], bit = (new if mask & bit else v), bit << 1
+    edges = []
+    for i, j in G.edges:
+        if i == v:
+            i, bit = (new if mask & bit else v), bit << 1
+        if j == v:
+            j, bit = (new if mask & bit else v), bit << 1
+        edges.append((i, j))
+    edges.append((v, new))
+    return DualGraph._trusted(tuple(genus), edges, tuple(legs))
 
 
 def children(G: DualGraph) -> Iterator[DualGraph]:
-    """All stable one-edge-deeper degenerations of ``G`` (with duplicates)."""
+    """The stable one-edge-deeper degenerations of ``G`` whose new edge has least label.
+
+    Labels are those of :func:`_edge_sides`, ``None`` first.  A child's old
+    edges keep ``G``'s labels, since smoothing commutes, so a split child is
+    kept when its new label is ``None`` or at most ``G``'s least; the new
+    edge of a loop child is a loop, labelled ``None``, so all are kept.
+    """
+    sides = _edge_sides(G)
+    # An edgeless G keeps every child: (g + 1, 0) is above every label.
+    bound = None if None in sides else min(sides, default=(G.total_genus + 1, 0))
+    tables = _vertex_tables(G)
     for v in range(G.num_vertices):
-        yield from _split_children(G, v)
-    yield from _loop_children(G)
+        for a1, mask, _ in _split_moves(G, v, bound, tables):
+            yield _split_child(G, v, a1, mask)
+    valence = tables[0]
+    for v, g in enumerate(G.genus):  # a loop child trades one genus at v for a loop
+        if g > 1 or g == 1 and valence[v] > 0:
+            genus = list(G.genus)
+            genus[v] = g - 1
+            yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs)
 
 
 def _generate_level(

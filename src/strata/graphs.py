@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 GRAPH_SCHEMA = "dualgraph/1"
 
@@ -271,7 +271,7 @@ class DualGraph:
 # -- canonical form ---------------------------------------------------------
 
 
-def _relabeled(G: DualGraph, new_id: tuple[int, ...]) -> tuple:
+def _relabeled(G: DualGraph, new_id: Sequence[int]) -> tuple:
     """Encoding of ``G`` after sending old vertex ``v`` to ``new_id[v]``."""
     V = G.num_vertices
     genus = [0] * V
@@ -327,7 +327,8 @@ def canonical_key(G: DualGraph) -> bytes:
 
     Vertices are coloured by the rank of (genus, valence, incident leg
     labels).  If these colours are all distinct, as when every vertex
-    carries a leg, the one ordering they give is encoded.  Otherwise the key
+    carries a leg, the one ordering they give is encoded at once, before any
+    neighbour table is built (the search's only leaf).  Otherwise the key
     is the minimum relabeled encoding over the leaves of a refine and
     individualize search (:func:`_leaves`; McKay & Piperno, "Practical graph
     isomorphism, II", 2014).  Each step depends only on the coloured graph,
@@ -336,19 +337,22 @@ def canonical_key(G: DualGraph) -> bytes:
     """
     V = G.num_vertices
     valence = [0] * V
-    nbrs: list[dict[int, int]] = [{} for _ in range(V)]
     for i, j in G.edges:
         valence[i] += 1
         valence[j] += 1
-        nbrs[i][j] = nbrs[i].get(j, 0) + 1
-        if i != j:
-            nbrs[j][i] = nbrs[j].get(i, 0) + 1
     legs_at: list[list[int]] = [[] for _ in range(V)]
     for m, v in enumerate(G.legs):
         legs_at[v].append(m + 1)
     invariant = [(G.genus[v], valence[v] + len(ls), tuple(ls)) for v, ls in enumerate(legs_at)]
     rank = {inv: r for r, inv in enumerate(sorted(set(invariant)))}
     colour = [rank[inv] for inv in invariant]
+    if len(rank) == V:
+        return _encode(_relabeled(G, colour))
+    nbrs: list[dict[int, int]] = [{} for _ in range(V)]
+    for i, j in G.edges:
+        nbrs[i][j] = nbrs[i].get(j, 0) + 1
+        if i != j:
+            nbrs[j][i] = nbrs[j].get(i, 0) + 1
     return _encode(min(_relabeled(G, leaf) for leaf in _leaves(colour, nbrs)))
 
 

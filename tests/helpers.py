@@ -7,7 +7,8 @@ over vertex bijections directly.  The intersection oracles read enumerated
 levels but not the store's face map: one searches every edge count for a
 graph lying on all divisors, the other scans a whole level.  The delta
 oracle builds and keys each one-edge smoothing instead of reading divisors
-off the graph.
+off the graph.  The generation oracle builds every child of every parent,
+with no least-label rejection, and keys each one.
 """
 
 from __future__ import annotations
@@ -50,6 +51,76 @@ def delta_multiset(G: DualGraph) -> tuple[bytes, ...]:
     if G.num_edges == 0:
         raise ValueError("delta multiset of an edgeless graph")
     return tuple(sorted(canonical_key(delta(G, e)) for e in range(G.num_edges)))
+
+
+def oracle_split_children(G: DualGraph, v: int):
+    """Every stable split of vertex ``v`` as ``(a1, mask, child)``, built and checked.
+
+    Each item incident to v (a leg, a non-loop edge end, or either end of a
+    loop) is assigned to one of the two halves: ``v`` keeps genus ``a1`` and
+    the unset items, the new vertex the rest.  (genus, assignment) and its
+    mirror give isomorphic children, so only half the range is generated.
+    """
+    a = G.genus[v]
+    legs_here = [m for m, w in enumerate(G.legs) if w == v]
+    ends: list[tuple[int, int]] = []
+    for e, (i, j) in enumerate(G.edges):
+        if i == v:
+            ends.append((e, 0))
+        if j == v:
+            ends.append((e, 1))
+    items = len(legs_here) + len(ends)
+    new = G.num_vertices
+    for a1 in range(a // 2 + 1):
+        a2 = a - a1
+        for mask in range(1 << items):
+            if a1 == a2 and mask > (~mask & ((1 << items) - 1)):
+                continue
+            genus = list(G.genus) + [a2]
+            genus[v] = a1
+            side = {}
+            for t, item in enumerate(ends):
+                side[item] = new if mask >> (len(legs_here) + t) & 1 else v
+            edges = []
+            for e, (i, j) in enumerate(G.edges):
+                i2 = side.get((e, 0), i) if i == v else i
+                j2 = side.get((e, 1), j) if j == v else j
+                edges.append((i2, j2))
+            edges.append((v, new))
+            legs = list(G.legs)
+            for t, m in enumerate(legs_here):
+                if mask >> t & 1:
+                    legs[m] = new
+            child = DualGraph(tuple(genus), edges, tuple(legs))
+            if child.is_stable():
+                yield a1, mask, child
+
+
+def oracle_loop_children(G: DualGraph):
+    """Children obtained by trading one unit of genus at a vertex for a loop."""
+    for v, g in enumerate(G.genus):
+        if g == 0 or g == 1 and G.valence(v) + 2 < 3:
+            continue
+        genus = list(G.genus)
+        genus[v] = g - 1
+        yield DualGraph(tuple(genus), G.edges + ((v, v),), G.legs)
+
+
+def oracle_children(G: DualGraph):
+    """Every stable one-edge-deeper degeneration of ``G``, duplicates and all."""
+    for v in range(G.num_vertices):
+        for _, _, child in oracle_split_children(G, v):
+            yield child
+    yield from oracle_loop_children(G)
+
+
+def oracle_level(parents) -> dict[bytes, DualGraph]:
+    """The level above ``parents``, keying every child: key -> first child, in key order."""
+    found: dict[bytes, DualGraph] = {}
+    for G in parents:
+        for child in oracle_children(G):
+            found.setdefault(canonical_key(child), child)
+    return dict(sorted(found.items()))
 
 
 def _connected(V: int, edges) -> bool:

@@ -250,6 +250,16 @@ def test_cache_dir_used(capsys, tmp_path):
     assert (tmp_path / "g1n2" / "k2.json").is_file()
 
 
+def test_enumerate_json_same_cold_and_warm(capsys, tmp_path):
+    """Representatives come from the generator, never from cache state."""
+    argv = ("enumerate", "--g", "1", "--n", "4", "--k", "3", "--format", "json")
+    cold = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (tmp_path / "g1n4" / "k3.json").is_file()
+    warm = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert cold[0] == 0
+    assert warm == cold
+
+
 def test_tampered_cache_keeps_flag_verdict(capsys, tmp_path):
     argv = ("flag-check", "--g", "1", "--n", "4", "--cache-dir", str(tmp_path))
     assert run(capsys, *argv)[0] == 0

@@ -19,7 +19,10 @@ from strata import (
     strata,
     two_vertex_divisor,
 )
-from strata.enumeration import children
+from strata.enumeration import _split_moves, _vertex_tables, children
+from strata.graphs import _edge_sides
+from helpers import oracle_level, oracle_loop_children, oracle_split_children
+from test_acceptance import GRID
 
 # Stratum counts frozen from the exhaustive filter over all multigraphs
 # (see helpers.oracle_strata, exercised in full in test_completeness).
@@ -136,6 +139,49 @@ def test_children_equal_validated_construction(store, g, n):
         parents = strata(sig, k, store)
 
 
+def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
+    """Least-label rejection loses no class: keys and order match keying every child."""
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        parents = [smooth_point(sig)]
+        for k in range(1, sig.dim + 1):
+            level = strata(sig, k, store)
+            assert level.keys() == tuple(oracle_level(parents)), (sig, k)
+            parents = level
+
+
+def _least_is_last(sides) -> bool:
+    """Whether the last edge has the least label: ``None`` first, then (genus, marks)."""
+    ranks = [(-1, 0) if side is None else side for side in sides]
+    return ranks[-1] == min(ranks)
+
+
+def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
+    """Every split's incremental label, kept or rejected, equals the child's own.
+
+    ``children`` must then keep exactly the oracle's children whose new edge
+    (the last) has the least label, in the oracle's order.
+    """
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        parents = [smooth_point(sig)]
+        for k in range(1, sig.dim + 1):
+            for G in parents:
+                tables, kept = _vertex_tables(G), []
+                for v in range(G.num_vertices):
+                    moves = list(_split_moves(G, v, (G.total_genus + 1, 0), tables))
+                    built = list(oracle_split_children(G, v))
+                    assert [m[:2] for m in moves] == [b[:2] for b in built]
+                    for (_, _, label), (_, _, child) in zip(moves, built):
+                        sides = _edge_sides(child)
+                        assert label == sides[-1], (sig, G.describe(), v)
+                        if _least_is_last(sides):
+                            kept.append(child)
+                kept += [H for H in oracle_loop_children(G) if _least_is_last(_edge_sides(H))]
+                assert list(children(G)) == kept, (sig, G.describe())
+            parents = strata(sig, k, store)
+
+
 def test_enumeration_deterministic():
     a = StratumStore().level(GnSignature(2, 2), 2).keys()
     b = StratumStore().level(GnSignature(2, 2), 2).keys()
@@ -158,7 +204,7 @@ def test_cache_roundtrip(tmp_path):
     assert path.is_file()
     payload = json.loads(path.read_text())
     assert payload["schema"] == "stratumset/1"
-    assert payload["generator_version"] == "2"
+    assert payload["generator_version"] == "3"
     assert payload["k"] == 2
     reader = StratumStore(cache_dir=tmp_path)
     assert reader.level(sig, 2).keys() == expected
@@ -174,7 +220,29 @@ def test_stale_cache_regenerated(tmp_path):
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
     assert reader.level(sig, 1).keys() == expected
-    assert json.loads(path.read_text())["generator_version"] == "2"
+    assert json.loads(path.read_text())["generator_version"] == "3"
+
+
+def test_generator_2_level_file_regenerated(tmp_path):
+    """A level file from generator 2, which kept the first of all children, is rebuilt.
+
+    Its keys, count and digest are valid, but its representatives are not the
+    ones this generator stores; a warm read must not return them.
+    """
+    sig, k = GnSignature(1, 4), 3
+    expected = [G.to_json_obj() for G in StratumStore(cache_dir=tmp_path).level(sig, k)]
+    old = {canonical_key(smooth_point(sig)): smooth_point(sig)}
+    for _ in range(k):
+        old = oracle_level(old.values())
+    path = tmp_path / "g1n4" / "k3.json"
+    payload = json.loads(path.read_text())
+    payload["generator_version"] = "2"
+    payload["graphs"] = [G.to_json_obj() for G in old.values()]
+    assert payload["graphs"] != expected
+    path.write_text(json.dumps(payload))
+    level = StratumStore(cache_dir=tmp_path).level(sig, k)
+    assert [G.to_json_obj() for G in level] == expected
+    assert json.loads(path.read_text())["generator_version"] == "3"
 
 
 def test_corrupt_cache_regenerated(tmp_path):
