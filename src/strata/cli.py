@@ -3,9 +3,12 @@
 Exit codes are a stable contract: 0 for success (or a nonempty result),
 1 for a definitive negative (empty intersection, non-flag complex), 2 for
 usage errors, 3 for resource overflows.  With ``--format json`` errors are
-emitted as machine-readable JSON on stderr.
+emitted as machine-readable JSON on stderr; only argparse's own errors (an
+unknown option, a value of the wrong type) stay text.
 
-All output is ordered by canonical key; execution is sequential.
+Commands read the parsed arguments; each subcommand accepts only the
+options it reads.  All output is ordered by canonical key; execution is
+sequential.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -57,38 +59,15 @@ EXIT_BUDGET = 3
 FORMATS = ("text", "json", "dot")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    cache_dir: Path | None
-    max_graphs: int
-    max_dim: int | None
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.max_graphs < 1:
-            raise ValueError("--max-graphs must be positive")
-        if self.format not in FORMATS:
-            raise ValueError(f"--format must be one of {FORMATS}")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _store(args: argparse.Namespace) -> StratumStore:
+    """The store named by ``--cache-dir`` (or ``STRATA_CACHE_DIR``) and ``--max-graphs``."""
     cache = args.cache_dir or os.environ.get("STRATA_CACHE_DIR") or None
-    return RunConfig(
-        cache_dir=Path(cache) if cache else None,
-        max_graphs=args.max_graphs,
-        max_dim=args.max_dim,
-        format=args.format,
-    )
+    return StratumStore(cache_dir=cache, max_graphs=args.max_graphs)
 
 
-def _store(config: RunConfig) -> StratumStore:
-    return StratumStore(cache_dir=config.cache_dir, max_graphs=config.max_graphs)
-
-
-def _emit_error(config: RunConfig | None, code: str, message: str) -> None:
-    if config is not None and config.format == "json":
-        payload = {"error": {"code": code, "message": message}}
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+def _emit_error(args: argparse.Namespace, code: str, message: str) -> None:
+    if args.format == "json":
+        print(_dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
 
@@ -110,23 +89,20 @@ def _graph_dot(G: DualGraph, name: str) -> str:
     return "\n".join(lines)
 
 
-def _require_text_or_json(config: RunConfig, command: str) -> None:
-    if config.format == "dot":
+def _require_text_or_json(args: argparse.Namespace, command: str) -> None:
+    if args.format == "dot":
         raise ValueError(f"--format dot is not supported by {command}")
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     sig = GnSignature(args.g, args.n)
-    if not 1 <= args.k <= sig.dim:
-        raise ValueError(f"k={args.k} out of range 1..{sig.dim} for {sig}")
-    store = _store(config)
-    level = store.level(sig, args.k)
-    if config.format == "json":
+    level = _store(args).level(sig, args.k)
+    if args.format == "json":
         print(_dumps(level.to_json_obj()))
-    elif config.format == "dot":
+    elif args.format == "dot":
         for t, G in enumerate(level):
             print(_graph_dot(G, f"g{sig.g}n{sig.n}k{args.k}_{t}"))
     else:
@@ -161,13 +137,13 @@ def _resolve_divisor_inputs(
     return divisor_set(sig, graphs + keys, store)
 
 
-def cmd_intersect(args: argparse.Namespace, config: RunConfig) -> int:
-    store = _store(config)
+def cmd_intersect(args: argparse.Namespace) -> int:
+    store = _store(args)
     S = _resolve_divisor_inputs(args, store)
     report = intersection_components(S, store)
-    if config.format == "json":
+    if args.format == "json":
         print(_dumps(report.to_json_obj()))
-    elif config.format == "dot":
+    elif args.format == "dot":
         for t, G in enumerate(report.components):
             print(_graph_dot(G, f"component_{t}"))
     else:
@@ -178,13 +154,13 @@ def cmd_intersect(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK if report.nonempty else EXIT_NEGATIVE
 
 
-def cmd_complex(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_complex(args: argparse.Namespace) -> int:
     sig = GnSignature(args.g, args.n)
-    store = _store(config)
-    C = boundary_complex(sig, max_dim=config.max_dim, store=store)
-    if config.format == "json":
+    store = _store(args)
+    C = boundary_complex(sig, max_dim=args.max_dim, store=store)
+    if args.format == "json":
         print(_dumps(C.to_json_obj()))
-    elif config.format == "dot":
+    elif args.format == "dot":
         print(C.to_dot(), end="")
     else:
         print(f"boundary complex of {sig}")
@@ -195,12 +171,12 @@ def cmd_complex(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_flag_check(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_text_or_json(config, "flag-check")
+def cmd_flag_check(args: argparse.Namespace) -> int:
+    _require_text_or_json(args, "flag-check")
     sig = GnSignature(args.g, args.n)
-    store = _store(config)
+    store = _store(args)
     verdict = flag_verdict(sig, store)
-    if config.format == "json":
+    if args.format == "json":
         obj = {
             "g": sig.g,
             "n": sig.n,
@@ -216,18 +192,18 @@ def cmd_flag_check(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK if verdict.is_flag else EXIT_NEGATIVE
 
 
-def cmd_witness(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_text_or_json(config, "witness")
+def cmd_witness(args: argparse.Namespace) -> int:
+    _require_text_or_json(args, "witness")
     sig = GnSignature(args.g, args.n)
-    store = _store(config)
+    store = _store(args)
     verdict = flag_verdict(sig, store)
     if verdict.witness is None:
-        if config.format == "json":
+        if args.format == "json":
             print(_dumps({"g": sig.g, "n": sig.n, "witness": None}))
         else:
             print(f"{sig} is a flag complex; no witness")
         return EXIT_NEGATIVE
-    if config.format == "json":
+    if args.format == "json":
         print(_dumps({"g": sig.g, "n": sig.n, "witness": verdict.witness.to_json_obj()}))
     else:
         table = store.divisors(sig)
@@ -245,9 +221,9 @@ def _parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_text_or_json(config, "verify")
-    store = _store(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    _require_text_or_json(args, "verify")
+    store = _store(args)
     rows = []
     budget_hit = False
     for g in _parse_range(args.g):
@@ -261,7 +237,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             elapsed = time.perf_counter() - start
             budget_hit = budget_hit or verdict.skipped
             rows.append((sig, verdict, elapsed))
-    if config.format == "json":
+    if args.format == "json":
         out = []
         for sig, verdict, elapsed in rows:
             out.append(
@@ -405,14 +381,14 @@ def _paper_suite_checks(store: StratumStore):
     yield "classification spot grid", theorem_spots
 
 
-def cmd_paper_suite(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_text_or_json(config, "paper-suite")
-    store = _store(config)
+def cmd_paper_suite(args: argparse.Namespace) -> int:
+    _require_text_or_json(args, "paper-suite")
+    store = _store(args)
     results = []
     for name, check in _paper_suite_checks(store):
         passed, detail = check()
         results.append({"name": name, "passed": passed, "detail": detail})
-    if config.format == "json":
+    if args.format == "json":
         print(_dumps(results))
     else:
         for row in results:
@@ -439,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-graphs", type=int, default=DEFAULT_MAX_GRAPHS,
         help="hard per-level graph budget",
     )
-    common.add_argument("--max-dim", type=int, default=None, help="complex build depth")
     common.add_argument("--format", choices=FORMATS, default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complex", parents=[common], help="build the boundary complex")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-dim", type=int, default=None, help="complex build depth")
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("flag-check", parents=[common], help="decide the flag property")
@@ -486,18 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config: RunConfig | None = None
     try:
-        config = _config_from_args(args)
-        return args.func(args, config)
+        if args.max_graphs < 1:
+            raise ValueError("--max-graphs must be positive")
+        return args.func(args)
     except BudgetExceededError as exc:
-        _emit_error(config, "budget", str(exc))
+        _emit_error(args, "budget", str(exc))
         return EXIT_BUDGET
-    except InvalidSignatureError as exc:
-        _emit_error(config, "usage", str(exc))
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        _emit_error(config, "usage", str(exc))
+        _emit_error(args, "usage", str(exc))
         return EXIT_USAGE
 
 

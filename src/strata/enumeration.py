@@ -60,7 +60,6 @@ class StratumSet:
     signature: GnSignature
     edge_count: int
     graphs: Mapping[bytes, DualGraph]
-    generator_version: str = GENERATOR_VERSION
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -80,7 +79,7 @@ class StratumSet:
     def to_json_obj(self) -> dict:
         return {
             "schema": STRATUMSET_SCHEMA,
-            "generator_version": self.generator_version,
+            "generator_version": GENERATOR_VERSION,
             "g": self.signature.g,
             "n": self.signature.n,
             "k": self.edge_count,
@@ -341,7 +340,8 @@ class StratumStore:
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
             if (
-                obj.get("schema") != STRATUMSET_SCHEMA
+                not isinstance(obj, dict)
+                or obj.get("schema") != STRATUMSET_SCHEMA
                 or obj.get("generator_version") != GENERATOR_VERSION
                 or obj.get("g") != sig.g
                 or obj.get("n") != sig.n

@@ -24,6 +24,7 @@ the divisor's canonical key.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -245,16 +246,23 @@ class DualGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DualGraph:
+        """Parse the ``dualgraph/1`` form; a missing field or a wrong type raises ``ValueError``."""
         if not isinstance(obj, dict) or obj.get("schema") != GRAPH_SCHEMA:
             raise ValueError(f"expected schema {GRAPH_SCHEMA!r}")
-        genus = tuple(obj["genus"])
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
-        leg_map = obj["legs"]
+        genus, pairs, leg_map = obj.get("genus"), obj.get("edges"), obj.get("legs")
+        if not (isinstance(genus, list) and isinstance(pairs, list) and isinstance(leg_map, dict)):
+            raise ValueError("dualgraph needs a genus list, an edges list and a legs object")
+        try:
+            edges = [(i, j) for i, j in pairs]
+        except (TypeError, ValueError):
+            raise ValueError("each edge must be a pair of vertices") from None
         n = len(leg_map)
         if set(leg_map) != {str(m) for m in range(1, n + 1)}:
             raise ValueError("legs must be labeled exactly 1..n")
-        legs = tuple(int(leg_map[str(m)]) for m in range(1, n + 1))
-        return cls(genus, edges, legs)
+        legs = [leg_map[str(m)] for m in range(1, n + 1)]
+        if not set(map(type, genus + legs + list(itertools.chain.from_iterable(edges)))) <= {int}:
+            raise ValueError("genera, edge ends and leg vertices must be integers")
+        return cls(tuple(genus), tuple(edges), tuple(legs))
 
     @classmethod
     def from_json(cls, text: str) -> DualGraph:

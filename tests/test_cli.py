@@ -6,8 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import strata
-from strata import canonical_key, chain, key_to_hex, one_vertex, two_vertex_divisor
+from strata import (
+    GnSignature,
+    boundary_complex,
+    canonical_key,
+    chain,
+    key_to_hex,
+    one_vertex,
+    two_vertex_divisor,
+)
 from strata.cli import main
 
 
@@ -140,6 +150,28 @@ def test_intersect_rejects_non_divisor(capsys):
     code, _, err = run(capsys, "intersect", "--g", "2", "--n", "2", key)
     assert code == 2
     assert "not a divisor" in err
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"schema": "dualgraph/1", "genus": [1], "legs": {"1": 0, "2": 0}},
+        {"schema": "dualgraph/1", "genus": 5, "edges": [], "legs": {}},
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_intersect_malformed_graph_file_is_usage_error(capsys, tmp_path, graph, fmt):
+    good = tmp_path / "good.json"
+    good.write_text(one_vertex(1, 2, loops=1).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "intersect", "--format", fmt, str(good), str(bad))
+    assert code == 2
+    assert out == ""
+    if fmt == "json":
+        assert json.loads(err)["error"]["code"] == "usage"
+    else:
+        assert err.startswith("error: ")
 
 
 # -- complex / flag-check / witness ----------------------------------------------
@@ -281,6 +313,17 @@ def test_max_graphs_enforced_on_cached_levels(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_non_object_level_file_keeps_flag_verdict(capsys, tmp_path):
+    argv = ("flag-check", "--g", "1", "--n", "4", "--format", "json", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    (tmp_path / "g1n4" / "k3.json").write_text("[]")
+    (tmp_path / "g1n4" / "k2.json").write_text("null")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["is_flag"] is True
+    assert err == ""
+
+
 def test_bad_config_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "--g", "1", "--n", "1", "--k", "1",
                        "--max-graphs", "0")
@@ -296,6 +339,56 @@ def test_threads_option_removed(capsys):
     else:
         raise AssertionError("--threads was accepted")
     assert "--threads" in capsys.readouterr().err
+
+
+def test_max_graphs_error_is_json(capsys):
+    code, out, err = run(capsys, "enumerate", "--g", "1", "--n", "1", "--k", "1",
+                         "--max-graphs", "0", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {"code": "usage", "message": "--max-graphs must be positive"}
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--g", "1", "--n", "1", "--k", "1"],
+        ["intersect", "--g", "2", "--n", "2", key_to_hex(canonical_key(one_vertex(1, 2, loops=1)))],
+        ["flag-check", "--g", "2", "--n", "3"],
+        ["witness", "--g", "2", "--n", "3"],
+        ["verify", "--g", "2", "--n", "3"],
+        ["paper-suite"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_max_dim_only_on_complex(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-dim", "1"])
+    assert exc.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_complex_max_dim(capsys, store):
+    sig = GnSignature(2, 3)
+    code, out, _ = run(
+        capsys, "complex", "--g", "2", "--n", "3", "--max-dim", "2", "--format", "json"
+    )
+    assert code == 0
+    C = boundary_complex(sig, max_dim=2, store=store)
+    assert max(map(len, C.facets())) == 2
+    assert json.loads(out) == C.to_json_obj()
+
+
+def test_complex_max_dim_out_of_range_is_json_error(capsys):
+    code, out, err = run(
+        capsys, "complex", "--g", "2", "--n", "3", "--max-dim", "9", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "usage"
+    assert "max_dim" in json.loads(err)["error"]["message"]
 
 
 def test_console_entry_point():

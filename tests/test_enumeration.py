@@ -255,6 +255,17 @@ def test_corrupt_cache_regenerated(tmp_path):
     assert reader.level(sig, 1).keys() == expected
 
 
+@pytest.mark.parametrize("text", ["[]", "null", '"stratumset/1"', "3"])
+def test_non_object_cache_regenerated(tmp_path, text):
+    """A level file whose JSON is not an object is damaged, not a crash."""
+    sig = GnSignature(1, 4)
+    expected = StratumStore(cache_dir=tmp_path).level(sig, 3).keys()
+    path = tmp_path / "g1n4" / "k3.json"
+    path.write_text(text)
+    assert StratumStore(cache_dir=tmp_path).level(sig, 3).keys() == expected
+    assert json.loads(path.read_text())["count"] == len(expected)
+
+
 def test_tampered_cache_regenerated(tmp_path):
     """A level file missing a graph fails its count and digest and is rebuilt."""
     sig = GnSignature(1, 4)

@@ -304,3 +304,24 @@ def test_json_rejects_bad_legs():
 def test_json_rejects_wrong_schema():
     with pytest.raises(ValueError, match="schema"):
         DualGraph.from_json_obj({"schema": "nope", "genus": [1], "edges": [], "legs": {}})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"genus": [1], "legs": {}},
+        {"genus": 5, "edges": [], "legs": {}},
+        {"edges": [], "legs": {}},
+        {"genus": [1], "edges": []},
+        {"genus": [0, 0], "edges": [[0, 1, 1]], "legs": {"1": 0, "2": 1, "3": 1}},
+        {"genus": [0, 0], "edges": [5], "legs": {"1": 0, "2": 1, "3": 1}},
+        {"genus": ["1"], "edges": [], "legs": {}},
+        {"genus": [1.5], "edges": [], "legs": {}},
+        {"genus": [0, 0], "edges": [[0, True]], "legs": {"1": 0, "2": 1, "3": 1}},
+        {"genus": [1], "edges": [], "legs": {"1": None}},
+        {"genus": [1], "edges": [], "legs": [0]},
+    ],
+)
+def test_json_rejects_missing_fields_and_wrong_types(fields):
+    with pytest.raises(ValueError):
+        DualGraph.from_json_obj({"schema": "dualgraph/1", **fields})
