@@ -237,6 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elapsed = time.perf_counter() - start
             budget_hit = budget_hit or verdict.skipped
             rows.append((sig, verdict, elapsed))
+    if not rows:
+        raise ValueError(f"--g {args.g} --n {args.n} names no existing signature")
     if args.format == "json":
         out = []
         for sig, verdict, elapsed in rows:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .enumeration import BudgetExceededError, StratumStore, default_store
-from .graphs import DualGraph, GnSignature, chain, key_to_hex
+from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
 from .lattice import DivisorSet, divisor_set, intersect_nonempty, intersection_components
 
 BCOMPLEX_SCHEMA = "bcomplex/1"
@@ -329,8 +329,7 @@ def check_theorem(sig: GnSignature, store: StratumStore | None = None) -> Theore
 
 def pinwheel_divisor(n: int, i: int) -> DualGraph:
     """Genus-2 divisor: genus-1 vertex with every mark but ``i`` -- genus-1 with ``i``."""
-    rest = tuple(m for m in range(1, n + 1) if m != i)
-    return chain([(1, rest), (1, (i,))])
+    return divisor_graph(2, n, (1, [m for m in range(1, n + 1) if m != i]))
 
 
 def pinwheel_family(n: int, store: StratumStore | None = None) -> DivisorSet:
@@ -352,12 +351,8 @@ def high_genus_divisors(g: int, n: int) -> dict[int, DualGraph]:
     """The three divisor graphs of the g >= 3, n >= 2 counterexample, keyed 1-based."""
     if g < 3 or n < 2:
         raise ValueError("high-genus triple needs g >= 3 and n >= 2")
-    rest = tuple(range(2, n + 1))
-    return {
-        1: chain([(g - 1, ()), (1, tuple(range(1, n + 1)))]),
-        2: chain([(g - 1, (1,)), (1, rest)]),
-        3: chain([(g - 1, rest), (1, (1,))]),
-    }
+    sides = {1: (), 2: (1,), 3: range(2, n + 1)}
+    return {t: divisor_graph(g, n, (g - 1, A)) for t, A in sides.items()}
 
 
 def high_genus_triple(

@@ -20,7 +20,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -33,10 +32,10 @@ except ImportError:
 from .graphs import (
     DualGraph,
     GnSignature,
+    _divisor_table,
     _edge_sides,
     _root,
     canonical_key,
-    divisor_graph,
     one_vertex,
 )
 
@@ -232,30 +231,6 @@ def _generate_level(
     return _make_set(sig, k, found)
 
 
-def divisors_direct(sig: GnSignature) -> StratumSet:
-    """Boundary divisors by direct construction.
-
-    Every stable :func:`divisor_graph`: the loop graph (genus g-1, one loop,
-    all legs), then each split (a, A) -- (g-a, complement); the swap
-    symmetry is removed by keying.  Dimension-0 signatures have no divisors
-    and yield the empty set.
-    """
-    found: dict[bytes, DualGraph] = {}
-    if sig.dim >= 1:
-        marks = range(1, sig.n + 1)
-        splits = (
-            (a, A)
-            for a in range(sig.g + 1)
-            for size in range(sig.n + 1)
-            for A in combinations(marks, size)
-        )
-        for side in chain([None] if sig.g >= 1 else [], splits):
-            G = divisor_graph(sig.g, sig.n, side)
-            if G.is_stable():
-                found.setdefault(canonical_key(G), G)
-    return _make_set(sig, 1, found)
-
-
 class StratumStore:
     """Level cache: in-memory always, optionally mirrored to disk.
 
@@ -276,7 +251,6 @@ class StratumStore:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_graphs = max_graphs
         self._levels: dict[tuple[int, int, int], StratumSet] = {}
-        self._divisors: dict[tuple[int, int], StratumSet] = {}
         self._faces: dict[tuple[int, int, int], Mapping[frozenset[bytes], tuple]] = {}
 
     # -- public lookups ---------------------------------------------------
@@ -288,10 +262,8 @@ class StratumStore:
         return self._level(sig, k)
 
     def divisors(self, sig: GnSignature) -> StratumSet:
-        key = (sig.g, sig.n)
-        if key not in self._divisors:
-            self._divisors[key] = divisors_direct(sig)
-        return self._divisors[key]
+        """The boundary divisors of ``sig``, read from its divisor table."""
+        return StratumSet(sig, 1, _divisor_table(sig.g, sig.n)[0])
 
     def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:
         """The k-faces of the boundary complex with the strata realizing them.
@@ -362,7 +334,7 @@ class StratumStore:
             level = _make_set(sig, k, found)
             if obj["count"] != len(level) or obj["sha256"] != _digest(level):
                 return None
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, OSError, RecursionError):
             return None
         if len(level) > self.max_graphs:
             raise BudgetExceededError(

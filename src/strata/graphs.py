@@ -17,9 +17,9 @@ computed afresh on every call; nothing caches them.
 The one-edge smoothing of an edge (the divisor its node lies on) is read off
 the graph without building it: an edge on a cycle smooths to the irreducible
 divisor, a bridge to the split of genus and marks between its two sides.
-One spanning-tree pass finds every bridge and its sides, and a small map per
-signature, filled from :func:`divisor_graph`, turns each description into
-the divisor's canonical key.
+One spanning-tree pass finds every bridge and its sides, and the divisor
+table of the signature (:func:`_divisor_table`, the one place divisors are
+built and keyed) turns each description into the divisor's canonical key.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 GRAPH_SCHEMA = "dualgraph/1"
 
@@ -217,11 +218,18 @@ class DualGraph:
         return self.smooth_set((edge_id,))
 
     def _delta_keys(self) -> list[bytes]:
-        """Divisor key of each edge's one-edge smoothing, in edge order."""
+        """Divisor key of each edge's one-edge smoothing, in edge order.
+
+        An edge whose smoothing is not a stable divisor (possible only in an
+        unstable graph) raises ``ValueError``.
+        """
         if not self.edges:
             raise ValueError("delta multiset of an edgeless graph")
-        keys = _divisor_keys(self.total_genus, len(self.legs))
-        return [keys[side] for side in _edge_sides(self)]
+        keys = _divisor_table(self.total_genus, len(self.legs))[1]
+        try:
+            return [keys[side] for side in _edge_sides(self)]
+        except KeyError:
+            raise ValueError(f"an edge of {self.describe()} smooths to no stable divisor") from None
 
     def delta_multiset(self) -> tuple[bytes, ...]:
         """Keys of the one-edge smoothings, one per edge, sorted (a multiset)."""
@@ -266,7 +274,12 @@ class DualGraph:
 
     @classmethod
     def from_json(cls, text: str) -> DualGraph:
-        return cls.from_json_obj(json.loads(text))
+        """Parse ``dualgraph/1`` text; JSON nested too deeply to parse raises ``ValueError``."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        return cls.from_json_obj(obj)
 
     def describe(self) -> str:
         """Compact human-readable form, e.g. ``g=[1,0] E=[0-1,1-1] legs={1:1,2:1}``."""
@@ -415,33 +428,36 @@ def _edge_sides(G: DualGraph) -> list[tuple[int, int] | None]:
     return sides
 
 
-class _DivisorKeys(dict):
-    """Divisor key by :func:`_edge_sides` description, for one signature.
-
-    Each description is keyed through :func:`divisor_graph` on first use.  The
-    sides of a bridge in a stable graph are stable, so on stable graphs the
-    map holds at most one entry per divisor of the signature.
-    """
-
-    def __init__(self, g: int, n: int) -> None:
-        super().__init__()
-        self.g, self.n = g, n
-
-    def __missing__(self, side: tuple[int, int] | None) -> bytes:
-        if side is None:
-            graph = divisor_graph(self.g, self.n, None)
-        else:
-            a, mask = side
-            marks = [m + 1 for m in range(self.n) if mask >> m & 1]
-            graph = divisor_graph(self.g, self.n, (a, marks))
-        key = self[side] = canonical_key(graph)
-        return key
-
-
 @lru_cache(maxsize=16)
-def _divisor_keys(g: int, n: int) -> _DivisorKeys:
-    """The key map of (g, n); the 16 signatures used last keep theirs."""
-    return _DivisorKeys(g, n)
+def _divisor_table(
+    g: int, n: int
+) -> tuple[Mapping[bytes, DualGraph], dict[tuple[int, int] | None, bytes]]:
+    """The boundary divisors of (g, n): graph by key, in key order, and key by description.
+
+    Every stable :func:`divisor_graph` is a divisor: the loop graph, then
+    each split (a, A) by a, |A| and A; the first candidate of each class
+    represents it.  A divisor's description is the :func:`_edge_sides` label
+    of its one edge, so a split and its swap share one.  The sides of a
+    bridge in a stable graph are stable, so every edge of a stable graph
+    has its description here.  The 16 signatures used last keep their table;
+    every store shares it, so the graph map is read-only.
+    """
+    graphs: dict[bytes, DualGraph] = {}
+    keys: dict[tuple[int, int] | None, bytes] = {}
+    splits = (
+        (a, A)
+        for a in range(g + 1)
+        for size in range(n + 1)
+        for A in combinations(range(1, n + 1), size)
+    )
+    for side in itertools.chain([None] if g >= 1 else [], splits):
+        G = divisor_graph(g, n, side)
+        if G.is_stable():
+            description = _edge_sides(G)[0]
+            if description not in keys:
+                keys[description] = key = canonical_key(G)
+                graphs[key] = G
+    return MappingProxyType(dict(sorted(graphs.items()))), keys
 
 
 def key_to_hex(key: bytes) -> str:

@@ -8,12 +8,13 @@ levels but not the store's face map: one searches every edge count for a
 graph lying on all divisors, the other scans a whole level.  The delta
 oracle builds and keys each one-edge smoothing instead of reading divisors
 off the graph.  The generation oracle builds every child of every parent,
-with no least-label rejection, and keys each one.
+with no least-label rejection, and keys each one.  The divisor oracle keys
+every stable one-edge candidate graph instead of keying by description.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
 from strata import (
     DivisorSet,
@@ -23,6 +24,7 @@ from strata import (
     canonical_key,
     default_store,
 )
+from strata.graphs import divisor_graph
 
 
 def raw(G: DualGraph) -> tuple:
@@ -51,6 +53,28 @@ def delta_multiset(G: DualGraph) -> tuple[bytes, ...]:
     if G.num_edges == 0:
         raise ValueError("delta multiset of an edgeless graph")
     return tuple(sorted(canonical_key(delta(G, e)) for e in range(G.num_edges)))
+
+
+def oracle_divisors(g: int, n: int) -> dict[bytes, DualGraph]:
+    """Reference for ``StratumStore.divisors``: key every stable candidate, in key order.
+
+    The candidates are the loop graph (genus g-1, one loop, all legs), then
+    each split (a, A) -- (g-a, complement) by a, |A| and A.  The first
+    candidate of each class represents it; keying removes the swap symmetry.
+    """
+    found: dict[bytes, DualGraph] = {}
+    if 3 * g - 3 + n >= 1:
+        splits = (
+            (a, A)
+            for a in range(g + 1)
+            for size in range(n + 1)
+            for A in combinations(range(1, n + 1), size)
+        )
+        for side in chain([None] if g >= 1 else [], splits):
+            G = divisor_graph(g, n, side)
+            if G.is_stable():
+                found.setdefault(canonical_key(G), G)
+    return dict(sorted(found.items()))
 
 
 def oracle_split_children(G: DualGraph, v: int):

@@ -157,6 +157,7 @@ def test_intersect_rejects_non_divisor(capsys):
     [
         {"schema": "dualgraph/1", "genus": [1], "legs": {"1": 0, "2": 0}},
         {"schema": "dualgraph/1", "genus": 5, "edges": [], "legs": {}},
+        pytest.param("[" * 200_000, id="nested"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -164,7 +165,7 @@ def test_intersect_malformed_graph_file_is_usage_error(capsys, tmp_path, graph, 
     good = tmp_path / "good.json"
     good.write_text(one_vertex(1, 2, loops=1).to_json())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(graph))
+    bad.write_text(graph if isinstance(graph, str) else json.dumps(graph))
     code, out, err = run(capsys, "intersect", "--format", fmt, str(good), str(bad))
     assert code == 2
     assert out == ""
@@ -266,6 +267,18 @@ def test_verify_negative_cells_report_witnesses(capsys):
     assert len(row["witness"]) == 3
 
 
+@pytest.mark.parametrize("g,n", [("3:1", "2"), ("0", "0:2")], ids=["empty-range", "no-valid-cell"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_empty_grid_is_usage_error(capsys, g, n, fmt):
+    code, out, err = run(capsys, "verify", "--g", g, "--n", n, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    if fmt == "json":
+        assert json.loads(err)["error"]["code"] == "usage"
+    else:
+        assert err.startswith("error: ")
+
+
 def test_paper_suite(capsys):
     code, out, _ = run(capsys, "paper-suite")
     assert code == 0
@@ -318,10 +331,12 @@ def test_non_object_level_file_keeps_flag_verdict(capsys, tmp_path):
     assert run(capsys, *argv)[0] == 0
     (tmp_path / "g1n4" / "k3.json").write_text("[]")
     (tmp_path / "g1n4" / "k2.json").write_text("null")
+    (tmp_path / "g1n4" / "k1.json").write_text("[" * 200_000)
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["is_flag"] is True
     assert err == ""
+    assert json.loads((tmp_path / "g1n4" / "k1.json").read_text())["k"] == 1
 
 
 def test_bad_config_rejected(capsys):

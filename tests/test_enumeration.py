@@ -20,8 +20,8 @@ from strata import (
     two_vertex_divisor,
 )
 from strata.enumeration import _split_moves, _vertex_tables, children
-from strata.graphs import _edge_sides
-from helpers import oracle_level, oracle_loop_children, oracle_split_children
+from strata.graphs import InvalidSignatureError, _divisor_table, _edge_sides, divisor_graph
+from helpers import oracle_divisors, oracle_level, oracle_loop_children, oracle_split_children
 from test_acceptance import GRID
 
 # Stratum counts frozen from the exhaustive filter over all multigraphs
@@ -342,3 +342,32 @@ def test_divisor_construction_covers_both_shapes(store):
     assert canonical_key(two_vertex_divisor(0, (1, 2), 2, ())) in keys
     assert canonical_key(two_vertex_divisor(1, (1, 2), 1, ())) in keys
     assert canonical_key(two_vertex_divisor(1, (1,), 1, (2,))) in keys
+
+
+def test_divisor_table_matches_candidate_oracle(store):
+    """Keys, order and positional representatives equal the oracle's; descriptions key them one to one."""
+    cells = set(GRID) | {(g, n) for g in range(5) for n in range(7)}
+    checked = 0
+    for g, n in sorted(cells):
+        try:
+            sig = GnSignature(g, n)
+        except InvalidSignatureError:
+            continue
+        expected = oracle_divisors(g, n)
+        assert list(store.divisors(sig).graphs.items()) == list(expected.items()), sig
+        by_description = _divisor_table(g, n)[1]
+        assert sorted(by_description.values()) == list(expected), sig
+        for description, key in by_description.items():
+            if description is not None:
+                a, mask = description
+                description = (a, [m + 1 for m in range(n) if mask >> m & 1])
+            assert canonical_key(divisor_graph(g, n, description)) == key, (sig, description)
+        checked += 1
+    assert checked == 32
+
+
+def test_divisor_table_is_shared_read_only(store):
+    sig = GnSignature(2, 2)
+    with pytest.raises(TypeError):
+        store.divisors(sig).graphs[b"x"] = one_vertex(2, 2)
+    assert len(StratumStore().divisors(sig)) == 4

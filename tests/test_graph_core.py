@@ -186,6 +186,13 @@ def test_delta_multiset_requires_edges():
         one_vertex(2, 0).delta_multiset()
 
 
+def test_delta_support_of_unstable_graph_is_value_error():
+    G = DualGraph((0, 0), ((0, 1),), (0, 0, 1))  # a genus-0 leaf with one mark
+    assert not G.is_stable()
+    with pytest.raises(ValueError, match="no stable divisor"):
+        G.delta_support()
+
+
 def test_delta_multiset_matches_oracle_on_acceptance_grid(store):
     """Divisors read off the edges equal the keyed one-edge smoothings."""
     for g, n in GRID:
