@@ -18,9 +18,8 @@ never forces a deep enumeration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .enumeration import BudgetExceededError, StratumStore, default_store
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
@@ -59,13 +58,9 @@ class BoundaryComplex:
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal faces, as sorted index tuples in lexicographic order."""
         out = []
-        sizes = sorted(self.faces, reverse=True)
-        for j in sizes:
-            bigger = self.faces.get(j + 1, frozenset())
-            for face in self.faces[j]:
-                if not any(face < other for other in bigger):
-                    out.append(tuple(sorted(face)))
-        return tuple(sorted(out))
+        for j, level in self.faces.items():
+            out += level.difference(_subfaces(self.faces.get(j + 1, ())))
+        return tuple(sorted(tuple(sorted(face)) for face in out))
 
     def to_json_obj(self) -> dict:
         return {
@@ -75,9 +70,6 @@ class BoundaryComplex:
             "vertices": [key_to_hex(k) for k in self.vertices],
             "facets": [list(f) for f in self.facets()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self) -> str:
         """The 1-skeleton in DOT form, divisor graphs in tooltips."""
@@ -130,17 +122,21 @@ def _adjacency(num_vertices: int, edges: Iterable[frozenset[int]]) -> list[set[i
     return adj
 
 
+def _subfaces(faces: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
+    """Each face with one vertex dropped, lazily and with repeats."""
+    for face in faces:
+        for drop in face:
+            yield face - {drop}
+
+
 def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> None:
     for j in sorted(faces):
         if j < 2:
             continue
         below = faces.get(j - 1, frozenset())
-        for face in faces[j]:
-            for drop in face:
-                if face - {drop} not in below:
-                    raise RuntimeError(
-                        f"downward closure violated at {sorted(face)} minus {drop}"
-                    )
+        for sub in _subfaces(faces[j]):
+            if sub not in below:
+                raise RuntimeError(f"downward closure violated: {sorted(sub)} is no face")
 
 
 # -- flag property ------------------------------------------------------------

@@ -72,9 +72,6 @@ class StratumSet:
     def keys(self) -> tuple[bytes, ...]:
         return tuple(self.graphs)
 
-    def get(self, key: bytes) -> DualGraph | None:
-        return self.graphs.get(key)
-
     def to_json_obj(self) -> dict:
         return {
             "schema": STRATUMSET_SCHEMA,

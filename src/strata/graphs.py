@@ -179,32 +179,28 @@ class DualGraph:
     def smooth_set(self, edge_ids: Iterable[int]) -> DualGraph:
         """Smooth every edge in ``edge_ids`` simultaneously.
 
-        Vertices joined by smoothed edges merge into one vertex whose genus
-        is the sum of the merged genera plus the cycle rank of the smoothed
-        subgraph on them (each smoothed loop adds one).  The surviving edges
-        keep their relative order.
+        Vertices joined by smoothed edges merge into one vertex of genus
+        1 + sum(genus - 1) over them + the smoothed edges among them (the
+        merged genera plus the cycle rank).  Merged vertices are numbered by
+        their least old vertex, and surviving edges keep their relative order.
         """
         F = set(edge_ids)
         for e in F:
             if not (0 <= e < self.num_edges):
                 raise ValueError(f"invalid edge id {e}")
-        V = self.num_vertices
-        parent = list(range(V))
+        parent = list(range(self.num_vertices))
         for e in F:
             i, j = self.edges[e]
             ri, rj = _root(parent, i), _root(parent, j)
             if ri != rj:
                 parent[ri] = rj
-        members: dict[int, list[int]] = {}
-        for v in range(V):
-            members.setdefault(_root(parent, v), []).append(v)
-        classes = sorted(members.values(), key=min)
-        new_id = {v: t for t, cls in enumerate(classes) for v in cls}
-        new_genus = []
-        for cls in classes:
-            inner = sum(1 for e in F if new_id[self.edges[e][0]] == new_id[cls[0]])
-            cycle_rank = inner - len(cls) + 1
-            new_genus.append(sum(self.genus[v] for v in cls) + cycle_rank)
+        ids: dict[int, int] = {}
+        new_id = [ids.setdefault(_root(parent, v), len(ids)) for v in range(self.num_vertices)]
+        new_genus = [1] * len(ids)
+        for v, t in enumerate(new_id):
+            new_genus[t] += self.genus[v] - 1
+        for e in F:
+            new_genus[new_id[self.edges[e][0]]] += 1
         new_edges = tuple(
             (new_id[i], new_id[j])
             for e, (i, j) in enumerate(self.edges)

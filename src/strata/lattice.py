@@ -16,7 +16,6 @@ genus-0 strata that keep those two marks together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .enumeration import StratumStore, default_store
@@ -99,9 +98,6 @@ class IntersectionReport:
             "nonempty": self.nonempty,
             "components": [G.to_json_obj() for G in self.components],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def intersection_components(

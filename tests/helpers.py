@@ -10,6 +10,7 @@ oracle builds and keys each one-edge smoothing instead of reading divisors
 off the graph.  The generation oracle builds every child of every parent,
 with no least-label rejection, and keys each one.  The divisor oracle keys
 every stable one-edge candidate graph instead of keying by description.
+The facet oracle tests every face against every face one size up.
 """
 
 from __future__ import annotations
@@ -341,3 +342,14 @@ def scan_components(S: DivisorSet, supports: list[tuple]) -> tuple[DualGraph, ..
     """
     want = frozenset(S.keys)
     return tuple(G for G, support in supports if support == want)
+
+
+def oracle_facets(faces) -> tuple[tuple[int, ...], ...]:
+    """Reference for ``BoundaryComplex.facets``: the pairwise scan over adjacent sizes."""
+    out = []
+    for j in sorted(faces, reverse=True):
+        bigger = faces.get(j + 1, frozenset())
+        for face in faces[j]:
+            if not any(face < other for other in bigger):
+                out.append(tuple(sorted(face)))
+    return tuple(sorted(out))

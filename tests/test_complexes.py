@@ -31,6 +31,9 @@ from strata import (
     universal_degeneration,
     witness_for,
 )
+from strata.complexes import _verify_downward_closed
+from helpers import oracle_facets
+from test_acceptance import GRID
 
 
 # -- construction --------------------------------------------------------------
@@ -102,6 +105,42 @@ def test_faces_downward_closed_explicitly(store):
             for face in faces:
                 for v in face:
                     assert C.is_face(face - {v})
+
+
+def _closure_map(*faces):
+    """A face map holding the given faces, keyed by size."""
+    out: dict[int, frozenset] = {}
+    for face in map(frozenset, faces):
+        out[len(face)] = out.get(len(face), frozenset()) | {face}
+    return out
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        _closure_map((0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)),
+        _closure_map((0,), (1,), (2,), (0, 1, 2)),
+    ],
+    ids=["missing_face", "missing_level"],
+)
+def test_verify_downward_closed_rejects_open_maps(faces):
+    with pytest.raises(RuntimeError, match="downward closure"):
+        _verify_downward_closed(faces)
+
+
+def test_verify_downward_closed_accepts_closed_map():
+    _verify_downward_closed(_closure_map((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)))
+
+
+def test_facets_match_pairwise_scan_on_grid(store):
+    checked = 0
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        for max_dim in (None, *range(sig.dim + 1)):
+            C = boundary_complex(sig, max_dim=max_dim, store=store)
+            assert C.facets() == oracle_facets(C.faces), (g, n, max_dim)
+            checked += 1
+    assert checked == 105
 
 
 def test_f_vector_invariant_under_vertex_reordering(store):

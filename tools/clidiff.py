@@ -12,9 +12,10 @@ printed, and the exit code is 1 if there is any.  Standard library only.
 The list covers ``enumerate`` at every k in every format, ``complex`` full
 and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 ``verify`` in text and json, and ``intersect`` json on pairs of the first
-four divisors, on the cells below; ``paper-suite`` in text and json; and the
-error cases of ``tests/test_cli.py``.  Divisor keys are read from OLD's
-``complex`` output, so both sides get the same arguments.
+four divisors, on the cells below; ``paper-suite`` in text and json;
+``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
+and the error cases of ``tests/test_cli.py``.  Divisor keys are read from
+OLD's ``complex`` output, so both sides get the same arguments.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def invocations(old: Path) -> list[list[str]]:
         for a, b in combinations(keys[g, n][:4], 2):
             calls.append(["intersect", *sig, "--format", "json", a, b])
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
+    calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
 
     # The error and edge cases of tests/test_cli.py.
     for f in ("text", "json"):
