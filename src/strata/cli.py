@@ -157,7 +157,7 @@ def cmd_intersect(args: argparse.Namespace) -> int:
 def cmd_complex(args: argparse.Namespace) -> int:
     sig = GnSignature(args.g, args.n)
     store = _store(args)
-    C = boundary_complex(sig, max_dim=args.max_dim, store=store)
+    C = boundary_complex(sig, store, max_dim=args.max_dim)
     if args.format == "json":
         print(_dumps(C.to_json_obj()))
     elif args.format == "dot":
@@ -285,14 +285,14 @@ def _paper_suite_checks(store: StratumStore):
         return len(store.divisors(GnSignature(2, 2))) == 4, ""
 
     def m22_fvector():
-        fv = boundary_complex(GnSignature(2, 2), store=store).f_vector()
+        fv = boundary_complex(GnSignature(2, 2), store).f_vector()
         return fv == (4, 5, 2), f"f-vector {fv}"
 
     def m22_flag():
         return flag_verdict(GnSignature(2, 2), store).is_flag, ""
 
     def m22_nonedge():
-        C = boundary_complex(GnSignature(2, 2), store=store)
+        C = boundary_complex(GnSignature(2, 2), store)
         adj = C.adjacency()
         missing = [
             (i, j)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .enumeration import BudgetExceededError, StratumStore, default_store
+from .enumeration import BudgetExceededError, StratumStore
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
 from .lattice import DivisorSet, divisor_set, intersect_nonempty, intersection_components
 
@@ -84,16 +84,13 @@ class BoundaryComplex:
 
 
 def boundary_complex(
-    sig: GnSignature,
-    max_dim: int | None = None,
-    store: StratumStore | None = None,
+    sig: GnSignature, store: StratumStore, max_dim: int | None = None
 ) -> BoundaryComplex:
     """Build the boundary complex of ``sig`` up to faces of size ``max_dim``.
 
     The default depth is the full dimension.  Dimension-0 signatures yield
     the empty complex.
     """
-    store = store or default_store()
     if max_dim is not None and not 0 <= max_dim <= sig.dim:
         raise ValueError(f"max_dim={max_dim} out of range 0..{sig.dim} for {sig}")
     table = store.divisors(sig)
@@ -162,8 +159,11 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class FlagVerdict:
-    is_flag: bool
     witness: WitnessReport | None
+
+    @property
+    def is_flag(self) -> bool:
+        return self.witness is None
 
 
 def _clique_walk(
@@ -214,11 +214,10 @@ def _flag_walk(
     """
     witness = _clique_walk(_adjacency(len(vertices), edges), is_face, sig.dim)
     if witness is None:
-        return FlagVerdict(True, None)
+        return FlagVerdict(None)
     keys = tuple(vertices[i] for i in witness)
     return FlagVerdict(
-        False,
-        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True),
+        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True)
     )
 
 
@@ -244,14 +243,13 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
     return _flag_walk(C.signature, C.vertices, C.faces.get(2, ()), face_test)
 
 
-def flag_verdict(sig: GnSignature, store: StratumStore | None = None) -> FlagVerdict:
+def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
     """Flag verdict with lazily built face levels.
 
-    Equivalent to ``is_flag(boundary_complex(sig))`` but only enumerates
-    strata up to the level where the walk settles, which keeps spaces with
-    small witnesses cheap.
+    Equivalent to ``is_flag(boundary_complex(sig, store))`` but only
+    enumerates strata up to the level where the walk settles, which keeps
+    spaces with small witnesses cheap.
     """
-    store = store or default_store()
     vertices = store.divisors(sig).keys()
     index = {key: i for i, key in enumerate(vertices)}
     pairs = store.faces(sig, 2) if sig.dim >= 2 else {}
@@ -263,11 +261,8 @@ def flag_verdict(sig: GnSignature, store: StratumStore | None = None) -> FlagVer
     )
 
 
-def witness_for(
-    sig: GnSignature, keys, store: StratumStore | None = None
-) -> WitnessReport:
+def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessReport:
     """Face verdict, components, and pairwise status for any divisor set."""
-    store = store or default_store()
     S = divisor_set(sig, keys, store)
     report = intersection_components(S, store)
     pairwise = all(
@@ -297,7 +292,10 @@ class TheoremVerdict:
     predicted: bool
     computed: bool | None
     witness: WitnessReport | None
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.computed is None
 
     @property
     def agree(self) -> bool | None:
@@ -306,7 +304,7 @@ class TheoremVerdict:
         return self.predicted == self.computed
 
 
-def check_theorem(sig: GnSignature, store: StratumStore | None = None) -> TheoremVerdict:
+def check_theorem(sig: GnSignature, store: StratumStore) -> TheoremVerdict:
     """Compare the predicted flag verdict with the computed one.
 
     A budget overflow during enumeration yields a skipped verdict, never a
@@ -316,7 +314,7 @@ def check_theorem(sig: GnSignature, store: StratumStore | None = None) -> Theore
     try:
         verdict = flag_verdict(sig, store)
     except BudgetExceededError:
-        return TheoremVerdict(sig, predicted, None, None, skipped=True)
+        return TheoremVerdict(sig, predicted, None, None)
     return TheoremVerdict(sig, predicted, verdict.is_flag, verdict.witness)
 
 
@@ -328,7 +326,7 @@ def pinwheel_divisor(n: int, i: int) -> DualGraph:
     return divisor_graph(2, n, (1, [m for m in range(1, n + 1) if m != i]))
 
 
-def pinwheel_family(n: int, store: StratumStore | None = None) -> DivisorSet:
+def pinwheel_family(n: int, store: StratumStore) -> DivisorSet:
     """The n genus-2 divisors whose pairwise meets are nonempty but whose
     total intersection is empty."""
     if n < 3:
@@ -351,9 +349,7 @@ def high_genus_divisors(g: int, n: int) -> dict[int, DualGraph]:
     return {t: divisor_graph(g, n, (g - 1, A)) for t, A in sides.items()}
 
 
-def high_genus_triple(
-    g: int, n: int, store: StratumStore | None = None
-) -> DivisorSet:
+def high_genus_triple(g: int, n: int, store: StratumStore) -> DivisorSet:
     """The three divisors of the g >= 3, n >= 2 counterexample."""
     D = high_genus_divisors(g, n)
     return divisor_set(GnSignature(g, n), list(D.values()), store)

@@ -10,8 +10,9 @@ least-labelled edge, and smoothing it gives a stable (k-1)-edge graph that
 one of the two moves undoes, so a complete (k-1) level still yields a
 complete k level.  The label is decided before the child is built.
 
-Levels are deduplicated by canonical key and can be cached on disk, one
-JSON file per (g, n, k).
+Levels are deduplicated by canonical key and held by a :class:`StratumStore`
+that the caller creates and passes to every lookup; it keeps them as long
+as it lives and can mirror them to disk, one JSON file per (g, n, k).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _vertex_tables(G: DualGraph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _split_moves(
-    G: DualGraph, v: int, bound: tuple[int, int] | None, tables: tuple
+    G: DualGraph, v: int, bound: tuple[int, int] | None, tables: tuple, g: int
 ) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
     """Stable splits of ``v`` whose new edge is labelled ``None`` or at most ``bound``.
 
@@ -119,7 +120,8 @@ def _split_moves(
     The label comes from ``v``'s branches, one per component of ``G - v``
     and one per loop at ``v``: the new edge is on a cycle exactly when
     ``mask`` splits a branch, else its far side is the new vertex plus the
-    branches moved whole.  ``tables`` is :func:`_vertex_tables` of ``G``.
+    branches moved whole.  ``tables`` is :func:`_vertex_tables` of ``G``
+    and ``g`` its total genus.
     """
     valence, weight, marks = tables
     a, items = G.genus[v], valence[v]
@@ -147,7 +149,7 @@ def _split_moves(
             t += 1
     if bound is None and all(b & (b - 1) == 0 for b, _, _ in branches.values()):
         return
-    leg_marks, g, full = [0] * (1 << L), G.total_genus, (1 << G.n) - 1
+    leg_marks, full = [0] * (1 << L), (1 << G.n) - 1
     for low in range(1, 1 << L):
         leg_marks[low] = leg_marks[low & (low - 1)] | 1 << legs_here[(low & -low).bit_length() - 1]
     for a1 in range(a // 2 + 1):
@@ -197,18 +199,18 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
     kept when its new label is ``None`` or at most ``G``'s least; the new
     edge of a loop child is a loop, labelled ``None``, so all are kept.
     """
-    sides = _edge_sides(G)
+    sides, g = _edge_sides(G), G.total_genus
     # An edgeless G keeps every child: (g + 1, 0) is above every label.
-    bound = None if None in sides else min(sides, default=(G.total_genus + 1, 0))
+    bound = None if None in sides else min(sides, default=(g + 1, 0))
     tables = _vertex_tables(G)
     for v in range(G.num_vertices):
-        for a1, mask, _ in _split_moves(G, v, bound, tables):
+        for a1, mask, _ in _split_moves(G, v, bound, tables, g):
             yield _split_child(G, v, a1, mask)
     valence = tables[0]
-    for v, g in enumerate(G.genus):  # a loop child trades one genus at v for a loop
-        if g > 1 or g == 1 and valence[v] > 0:
+    for v, a in enumerate(G.genus):  # a loop child trades one genus at v for a loop
+        if a > 1 or a == 1 and valence[v] > 0:
             genus = list(G.genus)
-            genus[v] = g - 1
+            genus[v] = a - 1
             yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs)
 
 
@@ -360,28 +362,3 @@ class StratumStore:
 def _digest(level: StratumSet) -> str:
     """SHA-256 of a level's keys in order, joined by newlines (keys are ASCII)."""
     return sha256(b"\n".join(level.graphs)).hexdigest()
-
-
-_DEFAULT_STORE: StratumStore | None = None
-
-
-def default_store() -> StratumStore:
-    """Shared in-memory store used when callers do not supply one."""
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is None:
-        _DEFAULT_STORE = StratumStore()
-    return _DEFAULT_STORE
-
-
-def strata(sig: GnSignature, k: int, store: StratumStore | None = None) -> StratumSet:
-    """All k-edge stable dual graphs of ``sig`` up to isomorphism."""
-    return (store or default_store()).level(sig, k)
-
-
-def divisors(sig: GnSignature, store: StratumStore | None = None) -> StratumSet:
-    """The boundary divisors of ``sig`` (empty for dimension-0 signatures)."""
-    return (store or default_store()).divisors(sig)
-
-
-def count_strata(sig: GnSignature, k: int, store: StratumStore | None = None) -> int:
-    return len(strata(sig, k, store))

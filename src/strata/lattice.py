@@ -4,10 +4,10 @@ A set of k distinct boundary divisors meets in a (possibly empty) union of
 codimension-k strata; because the boundary has normal crossings, those
 strata are exactly the k-edge stable graphs whose one-edge smoothings are
 pairwise distinct and realize the given divisor set.  That geometric fact
-is taken as an assumption, so an intersection is a lookup in the store's
-face map (:meth:`StratumStore.faces`).  The test suite cross-checks it
-against a superset-style search over all edge counts and against a plain
-scan of level k.
+is taken as an assumption, so an intersection is a lookup in the face map
+(:meth:`StratumStore.faces`) of the store the caller passes.  The test
+suite cross-checks it against a superset-style search over all edge counts
+and against a plain scan of level k.
 
 The genus-1 reduction trades the unique genus-1 vertex of a tree-type graph
 for a genus-0 vertex carrying two fresh marks, giving a bijection onto the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import StratumStore, default_store
+from .enumeration import StratumStore
 from .graphs import DualGraph, GnSignature, canonical_key, key_from_hex, key_to_hex
 
 IXREPORT_SCHEMA = "ixreport/1"
@@ -41,22 +41,13 @@ class DivisorSet:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def graphs(self, store: StratumStore | None = None) -> tuple[DualGraph, ...]:
-        table = (store or default_store()).divisors(self.signature)
-        return tuple(table.graphs[k] for k in self.keys)
 
-
-def divisor_set(
-    sig: GnSignature,
-    items,
-    store: StratumStore | None = None,
-) -> DivisorSet:
+def divisor_set(sig: GnSignature, items, store: StratumStore) -> DivisorSet:
     """Build a :class:`DivisorSet` from graphs, keys, or hex key strings.
 
     Every item must resolve to a boundary divisor of ``sig``; graphs of a
     different signature are rejected.
     """
-    store = store or default_store()
     table = store.divisors(sig)
     keys = []
     for item in items:
@@ -100,15 +91,12 @@ class IntersectionReport:
         }
 
 
-def intersection_components(
-    S: DivisorSet, store: StratumStore | None = None
-) -> IntersectionReport:
+def intersection_components(S: DivisorSet, store: StratumStore) -> IntersectionReport:
     """Irreducible components of the intersection of the divisors in ``S``.
 
     These are the |S|-edge stable graphs whose one-edge smoothings are
     exactly the members of ``S``, each appearing once.
     """
-    store = store or default_store()
     sig = S.signature
     k = len(S)
     if k > sig.dim:
@@ -116,7 +104,7 @@ def intersection_components(
     return IntersectionReport(S, store.faces(sig, k).get(frozenset(S.keys), ()))
 
 
-def intersect_nonempty(S: DivisorSet, store: StratumStore | None = None) -> bool:
+def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:
     return intersection_components(S, store).nonempty
 
 

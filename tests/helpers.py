@@ -23,7 +23,6 @@ from strata import (
     GnSignature,
     StratumStore,
     canonical_key,
-    default_store,
 )
 from strata.graphs import divisor_graph
 
@@ -312,14 +311,13 @@ def vertex_isomorphisms(G: DualGraph, H: DualGraph):
             yield perm
 
 
-def intersect_nonempty_superset(S: DivisorSet, store: StratumStore | None = None) -> bool:
+def intersect_nonempty_superset(S: DivisorSet, store: StratumStore) -> bool:
     """Slow cross-check: does any stratum lie on every divisor of ``S``?
 
     Scans all edge counts for a graph whose divisor support contains ``S``;
     must agree with ``intersect_nonempty`` (redundant edges of such a graph
     can be smoothed away one at a time).
     """
-    store = store or default_store()
     sig = S.signature
     want = set(S.keys)
     for k in range(len(S), sig.dim + 1):

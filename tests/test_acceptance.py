@@ -23,7 +23,6 @@ from strata import (
     canonical_key,
     chain,
     check_theorem,
-    divisors,
     flag_verdict,
     high_genus_pair_components,
     intersect_nonempty,
@@ -35,7 +34,6 @@ from strata import (
     one_vertex,
     pinwheel_family,
     pinwheel_pair_component,
-    strata,
     two_vertex_divisor,
     universal_degeneration,
 )
@@ -51,8 +49,8 @@ def _line(num, ok: bool, detail: str) -> None:
 def test_criterion_1_m22_reproduction(store):
     start = time.perf_counter()
     sig = GnSignature(2, 2)
-    table = divisors(sig, store)
-    C = boundary_complex(sig, store=store)
+    table = store.divisors(sig)
+    C = boundary_complex(sig, store)
     flag = is_flag(C).is_flag
     adj = C.adjacency()
     nonedges = [
@@ -98,7 +96,7 @@ def test_m22_ground_truth_nonedge(store):
     of some graph in ``oracle_strata(2, 2, 2)``.
     """
     sig = GnSignature(2, 2)
-    C = boundary_complex(sig, store=store)
+    C = boundary_complex(sig, store)
     adj = C.adjacency()
     nonedges = [
         {C.vertices[i], C.vertices[j]}
@@ -231,7 +229,7 @@ def test_criterion_6_universal_degenerations(store):
     for g, n in [(2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]:
         sig = GnSignature(g, n)
         U = universal_degeneration(sig)
-        for D in divisors(sig, store):
+        for D in store.divisors(sig):
             assert is_degeneration(U, D)
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
@@ -297,7 +295,7 @@ def test_criterion_9_enumeration_completeness(store):
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
             expected = oracle_strata(g, n, k)
-            level = strata(sig, k, store)
+            level = store.level(sig, k)
             assert len(level) == len(expected)
             assert {oracle_canon(*raw(G)) for G in level} == set(expected)
             cells += 1

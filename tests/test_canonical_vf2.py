@@ -14,7 +14,7 @@ from itertools import combinations
 import networkx as nx
 from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
-from strata import DualGraph, GnSignature, canonical_key, strata
+from strata import DualGraph, GnSignature, canonical_key
 from helpers import relabel
 
 POOLS = [((4, 0), 5), ((5, 0), 8)]  # (signature, fewest vertices kept)
@@ -47,7 +47,7 @@ def pool_levels(store):
     for (g, n), fewest in POOLS:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
-            graphs = [G for G in strata(sig, k, store) if G.num_vertices >= fewest]
+            graphs = [G for G in store.level(sig, k) if G.num_vertices >= fewest]
             if graphs:
                 yield sig, k, graphs
 

@@ -391,7 +391,7 @@ def test_complex_max_dim(capsys, store):
         capsys, "complex", "--g", "2", "--n", "3", "--max-dim", "2", "--format", "json"
     )
     assert code == 0
-    C = boundary_complex(sig, max_dim=2, store=store)
+    C = boundary_complex(sig, store, max_dim=2)
     assert max(map(len, C.facets())) == 2
     assert json.loads(out) == C.to_json_obj()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from strata import GnSignature, strata
+from strata import GnSignature
 from helpers import oracle_canon, oracle_strata, raw
 
 SMALL_SIGNATURES = [
@@ -31,7 +31,7 @@ CELLS = [
 def test_generator_matches_brute_force(store, g, n, k):
     sig = GnSignature(g, n)
     expected = oracle_strata(g, n, k)
-    level = strata(sig, k, store)
+    level = store.level(sig, k)
     assert len(level) == len(expected)
     got = {oracle_canon(*raw(G)) for G in level}
     assert got == set(expected)

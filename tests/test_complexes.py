@@ -13,7 +13,6 @@ from strata import (
     canonical_key,
     chain,
     check_theorem,
-    divisors,
     flag_verdict,
     high_genus_pair_components,
     high_genus_triple,
@@ -40,7 +39,7 @@ from test_acceptance import GRID
 
 
 def test_m22_complex(store):
-    C = boundary_complex(GnSignature(2, 2), store=store)
+    C = boundary_complex(GnSignature(2, 2), store)
     assert C.f_vector() == (4, 5, 2)
     assert is_flag(C).is_flag
     adj = C.adjacency()
@@ -59,7 +58,7 @@ def test_m22_complex(store):
 
 
 def test_m22_triangles(store):
-    C = boundary_complex(GnSignature(2, 2), store=store)
+    C = boundary_complex(GnSignature(2, 2), store)
     key = {
         "irr": canonical_key(one_vertex(1, 2, loops=1)),
         "marked_genus0": canonical_key(two_vertex_divisor(0, (1, 2), 2, ())),
@@ -75,20 +74,20 @@ def test_m22_triangles(store):
 
 
 def test_dimension_one_space_has_isolated_vertices(store):
-    C = boundary_complex(GnSignature(1, 1), store=store)
+    C = boundary_complex(GnSignature(1, 1), store)
     assert C.f_vector() == (1,)
     assert is_flag(C).is_flag
 
 
 def test_dimension_zero_space_is_empty_complex(store):
-    C = boundary_complex(GnSignature(0, 3), store=store)
+    C = boundary_complex(GnSignature(0, 3), store)
     assert C.f_vector() == ()
     assert C.vertices == ()
     assert is_flag(C).is_flag
 
 
 def test_genus_zero_five_marks(store):
-    C = boundary_complex(GnSignature(0, 5), store=store)
+    C = boundary_complex(GnSignature(0, 5), store)
     assert C.f_vector() == (10, 15)
     assert is_flag(C).is_flag
     facets = C.facets()
@@ -98,7 +97,7 @@ def test_genus_zero_five_marks(store):
 
 def test_faces_downward_closed_explicitly(store):
     for g, n in [(2, 2), (1, 3), (0, 6)]:
-        C = boundary_complex(GnSignature(g, n), store=store)
+        C = boundary_complex(GnSignature(g, n), store)
         for size, faces in C.faces.items():
             if size < 2:
                 continue
@@ -137,14 +136,14 @@ def test_facets_match_pairwise_scan_on_grid(store):
     for g, n in GRID:
         sig = GnSignature(g, n)
         for max_dim in (None, *range(sig.dim + 1)):
-            C = boundary_complex(sig, max_dim=max_dim, store=store)
+            C = boundary_complex(sig, store, max_dim=max_dim)
             assert C.facets() == oracle_facets(C.faces), (g, n, max_dim)
             checked += 1
     assert checked == 105
 
 
 def test_f_vector_invariant_under_vertex_reordering(store):
-    C = boundary_complex(GnSignature(2, 2), store=store)
+    C = boundary_complex(GnSignature(2, 2), store)
     order = list(range(len(C.vertices)))[::-1]
     faces = {
         size: frozenset(frozenset(order[i] for i in face) for face in fs)
@@ -162,18 +161,18 @@ def test_f_vector_invariant_under_vertex_reordering(store):
 
 def test_max_dim_validation(store):
     with pytest.raises(ValueError, match="max_dim"):
-        boundary_complex(GnSignature(2, 2), max_dim=99, store=store)
+        boundary_complex(GnSignature(2, 2), store, max_dim=99)
 
 
 def test_truncated_complex_refuses_flag_check(store):
-    C = boundary_complex(GnSignature(2, 3), max_dim=2, store=store)
+    C = boundary_complex(GnSignature(2, 3), store, max_dim=2)
     with pytest.raises(ValueError, match="truncated"):
         is_flag(C)
 
 
 @pytest.mark.parametrize("max_dim", [0, 1])
 def test_complex_without_one_skeleton_refuses_flag_check(store, max_dim):
-    C = boundary_complex(GnSignature(2, 3), max_dim=max_dim, store=store)
+    C = boundary_complex(GnSignature(2, 3), store, max_dim=max_dim)
     with pytest.raises(ValueError, match="truncated"):
         is_flag(C)
 
@@ -181,13 +180,13 @@ def test_complex_without_one_skeleton_refuses_flag_check(store, max_dim):
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1)])
 def test_full_complex_below_dimension_two_keeps_its_verdict(store, g, n):
     sig = GnSignature(g, n)
-    C = boundary_complex(sig, store=store)
+    C = boundary_complex(sig, store)
     assert C.max_dim < 2
     assert is_flag(C).is_flag is flag_verdict(sig, store).is_flag is True
 
 
 def test_exports(store):
-    C = boundary_complex(GnSignature(2, 2), store=store)
+    C = boundary_complex(GnSignature(2, 2), store)
     obj = C.to_json_obj()
     assert obj["schema"] == "bcomplex/1"
     assert len(obj["vertices"]) == 4
@@ -215,7 +214,7 @@ def test_flag_witness_at_2_3(store):
 def test_eager_and_lazy_flag_checks_agree(store):
     for g, n in [(2, 2), (2, 3), (1, 3), (0, 5), (1, 4), (3, 2)]:
         sig = GnSignature(g, n)
-        eager = is_flag(boundary_complex(sig, store=store))
+        eager = is_flag(boundary_complex(sig, store))
         lazy = flag_verdict(sig, store)
         assert eager.is_flag == lazy.is_flag
         if eager.witness or lazy.witness:
@@ -227,7 +226,7 @@ def test_witness_is_lexicographically_minimal(store):
     sig = GnSignature(2, 4)
     verdict = flag_verdict(sig, store)
     assert not verdict.is_flag
-    C = boundary_complex(sig, max_dim=3, store=store)
+    C = boundary_complex(sig, store, max_dim=3)
     adj = C.adjacency()
     nonface_triples = sorted(
         (i, j, k)
@@ -274,9 +273,9 @@ def test_pinwheel_family_four_marks(store):
     assert not intersect_nonempty(family, store)
 
 
-def test_pinwheel_requires_three_marks():
+def test_pinwheel_requires_three_marks(store):
     with pytest.raises(ValueError):
-        pinwheel_family(2)
+        pinwheel_family(2, store)
 
 
 def test_high_genus_triple_displayed_components(store):
@@ -301,11 +300,11 @@ def test_high_genus_triple_displayed_components(store):
         assert not intersect_nonempty(triple, store)
 
 
-def test_high_genus_triple_bounds():
+def test_high_genus_triple_bounds(store):
     with pytest.raises(ValueError):
-        high_genus_triple(2, 3)
+        high_genus_triple(2, 3, store)
     with pytest.raises(ValueError):
-        high_genus_triple(3, 1)
+        high_genus_triple(3, 1, store)
 
 
 def test_universal_degeneration_instances(store):
@@ -313,7 +312,7 @@ def test_universal_degeneration_instances(store):
         sig = GnSignature(g, n)
         U = universal_degeneration(sig)
         assert U.total_genus == g and U.n == n and U.is_stable()
-        for D in divisors(sig, store):
+        for D in store.divisors(sig):
             assert is_degeneration(U, D)
 
 

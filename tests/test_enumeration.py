@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from hashlib import sha256
+from math import comb, prod
 
 import pytest
 
@@ -12,11 +13,8 @@ from strata import (
     StratumStore,
     canonical_key,
     chain,
-    count_strata,
-    divisors,
     one_vertex,
     smooth_point,
-    strata,
     two_vertex_divisor,
 )
 from strata.enumeration import _split_moves, _vertex_tables, children
@@ -37,31 +35,57 @@ FROZEN_COUNTS = {
 
 
 def test_divisor_counts(store):
-    assert len(divisors(GnSignature(2, 2), store)) == 4
-    assert len(divisors(GnSignature(1, 1), store)) == 1
-    assert len(divisors(GnSignature(0, 5), store)) == 10
-    assert len(divisors(GnSignature(0, 4), store)) == 3
+    assert len(store.divisors(GnSignature(2, 2))) == 4
+    assert len(store.divisors(GnSignature(1, 1))) == 1
+    assert len(store.divisors(GnSignature(0, 5))) == 10
+    assert len(store.divisors(GnSignature(0, 4))) == 3
 
 
 def test_divisors_of_dimension_zero_space_empty(store):
-    assert len(divisors(GnSignature(0, 3), store)) == 0
+    assert len(store.divisors(GnSignature(0, 3))) == 0
 
 
 def test_divisors_agree_with_level_one(store):
     for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 2), (3, 2)]:
         sig = GnSignature(g, n)
-        assert divisors(sig, store).keys() == strata(sig, 1, store).keys()
+        assert store.divisors(sig).keys() == store.level(sig, 1).keys()
 
 
 @pytest.mark.parametrize("sig,expected", sorted(FROZEN_COUNTS.items()))
 def test_frozen_stratum_counts(store, sig, expected):
     sig = GnSignature(*sig)
-    got = tuple(count_strata(sig, k, store) for k in range(1, len(expected) + 1))
+    got = tuple(len(store.level(sig, k)) for k in range(1, len(expected) + 1))
     assert got == expected
 
 
+def _schroeder(m: int) -> int:
+    """A000311(m): total partitions of an m-set, from the set-partition recurrence.
+
+    ``t(s)`` counts the total partitions of an s-set; ``p(s)`` sums, over
+    every set partition of an s-set, the product of ``t`` over its blocks.
+    Fixing the block of one element gives p(s) = sum C(s-1, b-1) t(b) p(s-b),
+    and ``t(s)`` for s >= 2 is that sum without the one-block term.
+    """
+    t, p = [0, 1], [1, 1]
+    for s in range(2, m + 1):
+        split = sum(comb(s - 1, b - 1) * t[b] * p[s - b] for b in range(1, s))
+        t.append(split)
+        p.append(split + t[s])
+    return t[m]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_genus_zero_counts_match_closed_formulas(n):
+    """(0,n) has A000311(n-1) strata in all, and (2n-5)!! trivalent trees on top."""
+    assert [_schroeder(m) for m in range(2, 8)] == [1, 4, 26, 236, 2752, 39208]
+    store, sig = StratumStore(), GnSignature(0, n)
+    counts = [1] + [len(store.level(sig, k)) for k in range(1, sig.dim + 1)]
+    assert sum(counts) == _schroeder(n - 1)
+    assert counts[-1] == prod(range(1, 2 * n - 4, 2))
+
+
 def test_displayed_codim2_strata_present(store):
-    level = strata(GnSignature(2, 3), 2, store)
+    level = store.level(GnSignature(2, 3), 2)
     assert canonical_key(chain([(1, (3,)), (0, (1, 2))], loop_at_end=True)) in level
     assert canonical_key(chain([(1, (1, 2)), (0, (3,))], loop_at_end=True)) in level
 
@@ -69,7 +93,7 @@ def test_displayed_codim2_strata_present(store):
 @pytest.mark.parametrize("g,n", [(1, 2), (0, 5)])
 def test_top_codimension_strata_are_trivalent(store, g, n):
     sig = GnSignature(g, n)
-    for G in strata(sig, sig.dim, store):
+    for G in store.level(sig, sig.dim):
         assert set(G.genus) == {0}
         assert all(G.valence(v) == 3 for v in range(G.num_vertices))
 
@@ -83,13 +107,13 @@ TRIVALENT_COUNTS = {2: 2, 3: 5, 4: 17, 5: 71}
 @pytest.mark.parametrize("g,expected", sorted(TRIVALENT_COUNTS.items()))
 def test_top_level_of_g0_counts_trivalent_multigraphs(store, g, expected):
     sig = GnSignature(g, 0)
-    assert count_strata(sig, sig.dim, store) == expected
+    assert len(store.level(sig, sig.dim)) == expected
 
 
 def test_every_level_matches_signature(store):
     sig = GnSignature(2, 2)
     for k in range(1, sig.dim + 1):
-        for G in strata(sig, k, store):
+        for G in store.level(sig, k):
             assert G.total_genus == 2
             assert G.n == 2
             assert G.num_edges == k
@@ -100,8 +124,8 @@ def test_smoothing_closure(store):
     for g, n in [(2, 2), (1, 3), (0, 6)]:
         sig = GnSignature(g, n)
         for k in range(2, sig.dim + 1):
-            below = strata(sig, k - 1, store)
-            for G in strata(sig, k, store):
+            below = store.level(sig, k - 1)
+            for G in store.level(sig, k):
                 for e in range(G.num_edges):
                     assert canonical_key(G.smooth(e)) in below
 
@@ -114,11 +138,11 @@ def test_smooth_point_shape():
 def test_level_requires_k_in_range(store):
     sig = GnSignature(1, 2)
     with pytest.raises(ValueError, match="out of range"):
-        strata(sig, 0, store)
+        store.level(sig, 0)
     with pytest.raises(ValueError, match="out of range"):
-        strata(sig, sig.dim + 1, store)
+        store.level(sig, sig.dim + 1)
     with pytest.raises(ValueError, match="out of range"):
-        strata(GnSignature(0, 3), 1, store)
+        store.level(GnSignature(0, 3), 1)
 
 
 def test_budget_overflow_is_an_error():
@@ -136,7 +160,7 @@ def test_children_equal_validated_construction(store, g, n):
         for G in parents:
             for child in children(G):
                 assert child == DualGraph(child.genus, child.edges, child.legs)
-        parents = strata(sig, k, store)
+        parents = store.level(sig, k)
 
 
 def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
@@ -145,7 +169,7 @@ def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
         sig = GnSignature(g, n)
         parents = [smooth_point(sig)]
         for k in range(1, sig.dim + 1):
-            level = strata(sig, k, store)
+            level = store.level(sig, k)
             assert level.keys() == tuple(oracle_level(parents)), (sig, k)
             parents = level
 
@@ -169,7 +193,7 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
             for G in parents:
                 tables, kept = _vertex_tables(G), []
                 for v in range(G.num_vertices):
-                    moves = list(_split_moves(G, v, (G.total_genus + 1, 0), tables))
+                    moves = list(_split_moves(G, v, (g + 1, 0), tables, g))
                     built = list(oracle_split_children(G, v))
                     assert [m[:2] for m in moves] == [b[:2] for b in built]
                     for (_, _, label), (_, _, child) in zip(moves, built):
@@ -179,7 +203,7 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
                             kept.append(child)
                 kept += [H for H in oracle_loop_children(G) if _least_is_last(_edge_sides(H))]
                 assert list(children(G)) == kept, (sig, G.describe())
-            parents = strata(sig, k, store)
+            parents = store.level(sig, k)
 
 
 def test_enumeration_deterministic():
@@ -189,7 +213,7 @@ def test_enumeration_deterministic():
 
 
 def test_keys_are_sorted(store):
-    keys = strata(GnSignature(2, 3), 2, store).keys()
+    keys = store.level(GnSignature(2, 3), 2).keys()
     assert list(keys) == sorted(keys)
 
 
@@ -331,12 +355,12 @@ def test_faces_group_level_by_support(store):
         assert all(G.delta_support() == support for G in graphs)
         assert [canonical_key(G) for G in graphs] == sorted(canonical_key(G) for G in graphs)
     grouped = sum(len(graphs) for graphs in faces.values())
-    distinct = sum(len(G.delta_support()) == 2 for G in strata(sig, 2, store))
+    distinct = sum(len(G.delta_support()) == 2 for G in store.level(sig, 2))
     assert grouped == distinct
 
 
 def test_divisor_construction_covers_both_shapes(store):
-    table = divisors(GnSignature(2, 2), store)
+    table = store.divisors(GnSignature(2, 2))
     keys = set(table.keys())
     assert canonical_key(one_vertex(1, 2, loops=1)) in keys
     assert canonical_key(two_vertex_divisor(0, (1, 2), 2, ())) in keys

@@ -8,13 +8,11 @@ from strata import (
     InvalidSignatureError,
     canonical_key,
     chain,
-    divisors,
     is_degeneration,
     is_isomorphic,
     key_from_hex,
     key_to_hex,
     one_vertex,
-    strata,
     two_vertex_divisor,
 )
 from helpers import delta, delta_multiset, relabel, vertex_isomorphisms
@@ -197,9 +195,9 @@ def test_delta_multiset_matches_oracle_on_acceptance_grid(store):
     """Divisors read off the edges equal the keyed one-edge smoothings."""
     for g, n in GRID:
         sig = GnSignature(g, n)
-        table = divisors(sig, store)
+        table = store.divisors(sig)
         for k in range(1, sig.dim + 1):
-            for G in strata(sig, k, store):
+            for G in store.level(sig, k):
                 multiset = G.delta_multiset()
                 assert multiset == delta_multiset(G), (sig, k, G.describe())
                 assert all(key in table for key in multiset), (sig, k, G.describe())

@@ -21,7 +21,6 @@ from strata import (
     pinwheel_family,
     sigma,
     sigma_inverse,
-    strata,
     two_vertex_divisor,
 )
 from helpers import intersect_nonempty_superset, level_supports, scan_components
@@ -41,7 +40,7 @@ def test_tree_type_matches_bridge_oracle(store):
     for g, n in [(1, 3), (2, 2)]:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
-            for G in strata(sig, k, store):
+            for G in store.level(sig, k):
                 every_edge_bridges = all(
                     _disconnects(G, e) for e in range(G.num_edges)
                 )
@@ -143,7 +142,7 @@ def test_pinwheel_pairs_meet_but_triple_empty(store):
 
 def test_intersection_k_beyond_dimension_rejected(store):
     sig = GnSignature(0, 4)
-    pair = list(strata(sig, 1, store))[:2]
+    pair = list(store.level(sig, 1))[:2]
     S = divisor_set(sig, pair, store)
     with pytest.raises(ValueError, match="dimension"):
         intersection_components(S, store)
@@ -151,7 +150,7 @@ def test_intersection_k_beyond_dimension_rejected(store):
 
 def test_superset_search_agrees(store):
     sig = GnSignature(2, 2)
-    table = strata(sig, 1, store)
+    table = store.level(sig, 1)
     keys = list(table.keys())
     import itertools
 
@@ -165,7 +164,7 @@ def test_superset_search_agrees(store):
 def test_components_match_level_scan(store, g, n):
     """Face-map lookups equal a full scan of the level, components in order."""
     sig = GnSignature(g, n)
-    keys = strata(sig, 1, store).keys()
+    keys = store.level(sig, 1).keys()
     for size in range(2, min(sig.dim, 3) + 1):
         supports = level_supports(sig, size, store)
         for combo in combinations(keys, size):
@@ -227,7 +226,7 @@ def test_sigma_inverse_requires_shared_vertex():
 def _tree_strata(sig, store):
     out = []
     for k in range(1, sig.dim + 1):
-        out.extend(G for G in strata(sig, k, store) if is_tree_type(G))
+        out.extend(G for G in store.level(sig, k) if is_tree_type(G))
     return out
 
 
@@ -244,7 +243,7 @@ def test_sigma_roundtrip_and_image(n, store):
     target = GnSignature(0, n + 2)
     expected = set()
     for k in range(1, target.dim + 1):
-        for H in strata(target, k, store):
+        for H in store.level(target, k):
             if H.legs[-1] == H.legs[-2]:
                 expected.add(canonical_key(H))
     assert image_keys == expected
@@ -253,12 +252,12 @@ def test_sigma_roundtrip_and_image(n, store):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sigma_divisor_count_matches(n, store):
     sig = GnSignature(1, n)
-    tree_divisors = [G for G in strata(sig, 1, store)] if sig.dim >= 1 else []
+    tree_divisors = [G for G in store.level(sig, 1)] if sig.dim >= 1 else []
     tree_divisors = [G for G in tree_divisors if is_tree_type(G)]
     target = GnSignature(0, n + 2)
     together = [
         H
-        for H in (strata(target, 1, store) if target.dim >= 1 else [])
+        for H in (store.level(target, 1) if target.dim >= 1 else [])
         if H.legs[-1] == H.legs[-2]
     ]
     assert len(tree_divisors) == len(together)

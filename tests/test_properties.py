@@ -24,7 +24,6 @@ from strata import (
     is_degeneration,
     is_tree_type,
     sigma,
-    strata,
 )
 from helpers import relabel, vertex_isomorphisms
 
@@ -44,7 +43,7 @@ def build_pool(store) -> list[DualGraph]:
         sig = GnSignature(g, n)
         top = min(sig.dim, LEVEL_CAP.get((g, n), sig.dim))
         for k in range(1, top + 1):
-            graphs.extend(strata(sig, k, store))
+            graphs.extend(store.level(sig, k))
     return graphs
 
 
@@ -161,7 +160,7 @@ def test_degeneration_partial_order(pool):
 def test_complex_downward_closure(store):
     rng = random.Random(505)
     complexes = [
-        boundary_complex(GnSignature(g, n), store=store)
+        boundary_complex(GnSignature(g, n), store)
         for g, n in [(2, 2), (1, 3), (1, 4), (0, 5), (0, 6), (2, 3)]
     ]
     faced = [
@@ -189,7 +188,7 @@ def test_unique_realization_of_divisor_collections(store):
             sig = GnSignature(g, n)
             for k in range(1, sig.dim + 1):
                 groups: dict[frozenset, list[DualGraph]] = {}
-                for G in strata(sig, k, store):
+                for G in store.level(sig, k):
                     scoped = g == 0 or is_tree_type(G)
                     if scoped:
                         support = G.delta_support()
@@ -205,7 +204,7 @@ def _tree_strata(sig: GnSignature, store) -> list[DualGraph]:
     return [
         G
         for k in range(1, sig.dim + 1)
-        for G in strata(sig, k, store)
+        for G in store.level(sig, k)
         if is_tree_type(G)
     ]
 
@@ -230,7 +229,7 @@ def test_genus_one_reduction_suite(store):
         expected = {
             canonical_key(H)
             for k in range(1, target.dim + 1)
-            for H in strata(target, k, store)
+            for H in store.level(target, k)
             if H.legs[-1] == H.legs[-2]
         }
         assert image == expected
@@ -246,7 +245,7 @@ def test_genus_one_reduction_suite(store):
     for n in (2, 3):
         sig = GnSignature(1, n)
         target_dim = GnSignature(0, n + 2).dim
-        tree_divisors = [G for G in strata(sig, 1, store) if is_tree_type(G)]
+        tree_divisors = [G for G in store.level(sig, 1) if is_tree_type(G)]
         for size in range(1, min(sig.dim, target_dim) + 1):
             for combo in combinations(tree_divisors, size):
                 S = divisor_set(sig, list(combo), store)
@@ -275,7 +274,7 @@ def test_loop_divisor_meets_every_stratum(store):
         sig = GnSignature(1, n)
         loop_key = canonical_key(one_vertex(0, n, loops=1))
         for k in range(1, sig.dim + 1):
-            for G in strata(sig, k, store):
+            for G in store.level(sig, k):
                 keys = G.delta_support() | {loop_key}
                 S = DivisorSet(sig, tuple(keys))
                 assert intersect_nonempty(S, store)
@@ -289,7 +288,7 @@ def test_one_edge_degeneration_iff_delta_support(pool, store):
     candidates = [G for G in pool if G.num_edges >= 1]
     for _ in range(CASES):
         G = rng.choice(candidates)
-        table = strata(G.signature, 1, store)
+        table = store.level(G.signature, 1)
         H = rng.choice(list(table))
         assert is_degeneration(G, H) == (canonical_key(H) in G.delta_support())
 
@@ -303,7 +302,7 @@ def test_exact_matches_superset_search(store):
     cases = 0
     for g, n in [(1, 2), (1, 3), (2, 2), (0, 5), (0, 6)]:
         sig = GnSignature(g, n)
-        keys = list(strata(sig, 1, store).keys())
+        keys = list(store.level(sig, 1).keys())
         for size in range(1, min(sig.dim, 3) + 1):
             combos = list(combinations(keys, size))
             rng.shuffle(combos)
