@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from itertools import combinations
@@ -28,8 +27,7 @@ from .complexes import (
     flag_verdict,
     high_genus_divisors,
     high_genus_pair_components,
-    high_genus_triple,
-    pinwheel_family,
+    pinwheel_divisor,
     pinwheel_pair_component,
     universal_degeneration,
 )
@@ -60,9 +58,8 @@ FORMATS = ("text", "json", "dot")
 
 
 def _store(args: argparse.Namespace) -> StratumStore:
-    """The store named by ``--cache-dir`` (or ``STRATA_CACHE_DIR``) and ``--max-graphs``."""
-    cache = args.cache_dir or os.environ.get("STRATA_CACHE_DIR") or None
-    return StratumStore(cache_dir=cache, max_graphs=args.max_graphs)
+    """The store named by ``--cache-dir`` and ``--max-graphs``."""
+    return StratumStore(cache_dir=args.cache_dir, max_graphs=args.max_graphs)
 
 
 def _emit_error(args: argparse.Namespace, code: str, message: str) -> None:
@@ -332,34 +329,32 @@ def _paper_suite_checks(store: StratumStore):
                     return False, f"fails at {sig}"
         return True, ""
 
-    def pinwheel(n):
-        sig = GnSignature(2, n)
-        family = pinwheel_family(n, store)
-        for (i, a), (j, b) in combinations(enumerate(family.keys, start=1), 2):
-            report = intersection_components(DivisorSet(sig, (a, b)), store)
-            shape = canonical_key(pinwheel_pair_component(n, i, j))
-            if {canonical_key(G) for G in report.components} != {shape}:
+    def family(sig, divisors, displayed):
+        """Pair (i, j) of labelled ``divisors`` meets in ``displayed[i, j]``; all do not meet."""
+        for i, j in combinations(divisors, 2):
+            S = divisor_set(sig, [divisors[i], divisors[j]], store)
+            report = intersection_components(S, store)
+            if {canonical_key(G) for G in report.components} != {canonical_key(displayed[i, j])}:
                 return False, f"pair {i},{j} mismatch"
-        if intersection_components(family, store).nonempty:
+        if intersection_components(divisor_set(sig, divisors.values(), store), store).nonempty:
             return False, "total intersection not empty"
         return True, ""
+
+    def pinwheel(n):
+        marks = range(1, n + 1)
+        return family(
+            GnSignature(2, n),
+            {i: pinwheel_divisor(n, i) for i in marks},
+            {(i, j): pinwheel_pair_component(n, i, j) for i, j in combinations(marks, 2)},
+        )
 
     def pinwheel_flag_23():
         return not flag_verdict(GnSignature(2, 3), store).is_flag, ""
 
-    def high_genus_triple_check(g, n):
-        sig = GnSignature(g, n)
-        D = high_genus_divisors(g, n)
-        shown = high_genus_pair_components(g, n)
-        for (i, j), displayed in shown.items():
-            S = divisor_set(sig, [D[i], D[j]], store)
-            report = intersection_components(S, store)
-            if {canonical_key(G) for G in report.components} != {canonical_key(displayed)}:
-                return False, f"pair {i},{j} mismatch"
-        S = high_genus_triple(g, n, store)
-        if intersection_components(S, store).nonempty:
-            return False, "triple not empty"
-        return True, ""
+    def high_genus(g, n):
+        return family(
+            GnSignature(g, n), high_genus_divisors(g, n), high_genus_pair_components(g, n)
+        )
 
     def theorem_spots():
         for g, n in [(2, 2), (2, 3), (1, 3), (0, 5), (3, 2)]:
@@ -378,8 +373,8 @@ def _paper_suite_checks(store: StratumStore):
     yield "pinwheel family (2,3)", lambda: pinwheel(3)
     yield "pinwheel family (2,4)", lambda: pinwheel(4)
     yield "pinwheel breaks flagness at (2,3)", pinwheel_flag_23
-    yield "high-genus triple (3,2)", lambda: high_genus_triple_check(3, 2)
-    yield "high-genus triple (4,2)", lambda: high_genus_triple_check(4, 2)
+    yield "high-genus triple (3,2)", lambda: high_genus(3, 2)
+    yield "high-genus triple (4,2)", lambda: high_genus(4, 2)
     yield "classification spot grid", theorem_spots
 
 

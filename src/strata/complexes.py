@@ -166,19 +166,22 @@ class FlagVerdict:
         return self.witness is None
 
 
-def _clique_walk(
-    adjacency: list[set[int]],
+def _flag_walk(
+    vertices: tuple[bytes, ...],
+    edges: Iterable[frozenset[int]],
     is_face: Callable[[frozenset[int]], bool],
     cap: int,
-) -> tuple[int, ...] | None:
-    """Level-by-level clique search for a minimal non-face clique, or None.
+) -> FlagVerdict:
+    """Level-by-level clique search of the 1-skeleton spanned by ``edges``.
 
-    Cliques of size j+1 are extensions of size-j cliques by a vertex above
-    their maximum, so each clique is generated once; a level is extended
-    only after every clique in it proved to be a face, which makes the
-    first failure minimal by size, and the lexicographically least failure
-    is returned.  Cliques larger than ``cap`` cannot be faces.
+    Faces are sets of indices into ``vertices``.  Cliques of size j+1 are
+    extensions of size-j cliques by a vertex above their maximum, so each
+    clique is generated once; a level is extended only after every clique
+    in it proved to be a face, which makes the first failure minimal by
+    size, and the lexicographically least failure is the witness, reported
+    by its divisor keys.  Cliques larger than ``cap`` cannot be faces.
     """
+    adjacency = _adjacency(len(vertices), edges)
     cliques = sorted(
         (u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if v > u
     )
@@ -196,29 +199,12 @@ def _clique_walk(
                 else:
                     nonfaces.append(nc)
         if nonfaces:
-            return min(nonfaces)
+            keys = tuple(vertices[i] for i in min(nonfaces))
+            return FlagVerdict(
+                WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True)
+            )
         cliques = next_level
-    return None
-
-
-def _flag_walk(
-    sig: GnSignature,
-    vertices: tuple[bytes, ...],
-    edges: Iterable[frozenset[int]],
-    is_face: Callable[[frozenset[int]], bool],
-) -> FlagVerdict:
-    """Run :func:`_clique_walk` on the 1-skeleton spanned by ``edges``.
-
-    Faces are sets of indices into ``vertices``; a failing clique becomes
-    the witness, reported by its divisor keys.
-    """
-    witness = _clique_walk(_adjacency(len(vertices), edges), is_face, sig.dim)
-    if witness is None:
-        return FlagVerdict(None)
-    keys = tuple(vertices[i] for i in witness)
-    return FlagVerdict(
-        WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True)
-    )
+    return FlagVerdict(None)
 
 
 def is_flag(C: BoundaryComplex) -> FlagVerdict:
@@ -240,7 +226,7 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
             )
         return C.is_face(face)
 
-    return _flag_walk(C.signature, C.vertices, C.faces.get(2, ()), face_test)
+    return _flag_walk(C.vertices, C.faces.get(2, ()), face_test, C.signature.dim)
 
 
 def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
@@ -254,10 +240,10 @@ def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
     index = {key: i for i, key in enumerate(vertices)}
     pairs = store.faces(sig, 2) if sig.dim >= 2 else {}
     return _flag_walk(
-        sig,
         vertices,
         (frozenset(index[k] for k in pair) for pair in pairs),
         lambda face: frozenset(vertices[i] for i in face) in store.faces(sig, len(face)),
+        sig.dim,
     )
 
 

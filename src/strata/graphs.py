@@ -507,14 +507,7 @@ def two_vertex_divisor(
     g1: int, legs1: Iterable[int], g2: int, legs2: Iterable[int]
 ) -> DualGraph:
     """The one-edge graph (g1, legs1) -- (g2, legs2); legs are mark labels."""
-    A, B = set(legs1), set(legs2)
-    if A & B:
-        raise ValueError("mark label on both sides")
-    n = len(A) + len(B)
-    if A | B != set(range(1, n + 1)):
-        raise ValueError("mark labels must be 1..n")
-    legs = tuple(0 if m in A else 1 for m in range(1, n + 1))
-    return DualGraph((g1, g2), ((0, 1),), legs)
+    return chain([(g1, legs1), (g2, legs2)])
 
 
 def divisor_graph(g: int, n: int, side: tuple[int, Iterable[int]] | None) -> DualGraph:
@@ -542,6 +535,8 @@ def chain(pieces: Iterable[tuple[int, Iterable[int]]], loop_at_end: bool = False
         edges.append((V - 1, V - 1))
     marks = {m: v for v, (_, ms) in enumerate(items) for m in ms}
     n = len(marks)
+    if n < sum(len(ms) for _, ms in items):
+        raise ValueError("mark label listed more than once")
     if set(marks) != set(range(1, n + 1)):
         raise ValueError("mark labels must be 1..n")
     legs = tuple(marks[m] for m in range(1, n + 1))

@@ -14,8 +14,10 @@ from strata import (
     boundary_complex,
     canonical_key,
     chain,
+    high_genus_pair_components,
     key_to_hex,
     one_vertex,
+    pinwheel_pair_component,
     two_vertex_divisor,
 )
 from strata.cli import main
@@ -102,6 +104,15 @@ def test_intersect_by_keys(capsys):
     assert payload["schema"] == "ixreport/1"
     assert payload["nonempty"] is True
     assert len(payload["components"]) == 2
+
+
+def test_intersect_dot(capsys):
+    a = key_to_hex(canonical_key(one_vertex(1, 3, loops=1)))
+    b = key_to_hex(canonical_key(two_vertex_divisor(1, (1, 2), 1, (3,))))
+    code, out, _ = run(capsys, "intersect", "--g", "2", "--n", "3", "--format", "dot", a, b)
+    assert code == 0
+    assert out.count("graph ") == 2
+    assert 'graph "component_1" {' in out
 
 
 def test_intersect_empty_from_files(capsys, tmp_path):
@@ -214,6 +225,15 @@ def test_flag_check_negative(capsys):
     assert len(payload["witness"]["clique"]) == 3
 
 
+def test_flag_check_negative_text_lists_witness(capsys):
+    code, out, _ = run(capsys, "flag-check", "--g", "2", "--n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "(2,3): not a flag complex"
+    assert len(lines) == 4
+    assert all(line.startswith("  witness divisor ") for line in lines[1:])
+
+
 def test_witness_found(capsys):
     code, out, _ = run(capsys, "witness", "--g", "2", "--n", "3")
     assert code == 0
@@ -224,6 +244,19 @@ def test_witness_absent(capsys):
     code, out, _ = run(capsys, "witness", "--g", "2", "--n", "2")
     assert code == 1
     assert "no witness" in out
+
+
+@pytest.mark.parametrize("n,expected_code,size", [(3, 0, 3), (2, 1, None)], ids=["found", "absent"])
+def test_witness_json(capsys, n, expected_code, size):
+    code, out, _ = run(capsys, "witness", "--g", "2", "--n", str(n), "--format", "json")
+    assert code == expected_code
+    payload = json.loads(out)
+    assert (payload["g"], payload["n"]) == (2, n)
+    if size is None:
+        assert payload["witness"] is None
+    else:
+        assert len(payload["witness"]["clique"]) == size
+        assert payload["witness"]["is_face"] is False
 
 
 def test_dot_rejected_where_meaningless(capsys):
@@ -267,6 +300,13 @@ def test_verify_negative_cells_report_witnesses(capsys):
     assert len(row["witness"]) == 3
 
 
+def test_verify_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("strata.complexes.predicted_flag", lambda sig: True)
+    code, out, _ = run(capsys, "verify", "--g", "2", "--n", "2:3", "--format", "json")
+    assert code == 1
+    assert [row["agree"] for row in json.loads(out)] == [True, False]
+
+
 @pytest.mark.parametrize("g,n", [("3:1", "2"), ("0", "0:2")], ids=["empty-range", "no-valid-cell"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_empty_grid_is_usage_error(capsys, g, n, fmt):
@@ -284,6 +324,44 @@ def test_paper_suite(capsys):
     assert code == 0
     assert "13/13 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_paper_suite_json(capsys):
+    code, out, _ = run(capsys, "paper-suite", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 13
+    assert all(row["passed"] for row in rows)
+    assert {"name": "pinwheel family (2,3)", "passed": True, "detail": ""} in rows
+
+
+def _pinwheel_pair_wrong(n, i, j):
+    return pinwheel_pair_component(n, 1, 3)
+
+
+def _high_genus_pair_1_2_wrong(g, n):
+    shown = high_genus_pair_components(g, n)
+    return {**shown, (1, 2): shown[1, 3]}
+
+
+@pytest.mark.parametrize(
+    "name,wrong,family",
+    [
+        ("pinwheel_pair_component", _pinwheel_pair_wrong, "pinwheel family"),
+        ("high_genus_pair_components", _high_genus_pair_1_2_wrong, "high-genus triple"),
+    ],
+    ids=["pinwheel", "high-genus"],
+)
+def test_paper_suite_family_mismatch_fails(capsys, monkeypatch, name, wrong, family):
+    monkeypatch.setattr(f"strata.cli.{name}", wrong)
+    code, out, _ = run(capsys, "paper-suite")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 2
+    for line in fails:
+        assert line.startswith(f"FAIL  {family} (")
+        assert line.endswith("  (pair 1,2 mismatch)")
+    assert "11/13 checks passed" in out
 
 
 def test_cache_dir_used(capsys, tmp_path):
@@ -344,6 +422,13 @@ def test_bad_config_rejected(capsys):
                        "--max-graphs", "0")
     assert code == 2
     assert "max-graphs" in err
+
+
+def test_cache_dir_environment_variable_ignored(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STRATA_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "enumerate", "--g", "1", "--n", "2", "--k", "2")
+    assert code == 0
+    assert not any(tmp_path.iterdir())
 
 
 def test_threads_option_removed(capsys):

@@ -48,6 +48,34 @@ def test_edge_pairs_are_normalized_but_order_is_kept():
     assert G.edges == ((0, 1), (1, 1), (0, 1))
 
 
+def test_chain_rejects_mark_on_two_vertices():
+    with pytest.raises(ValueError, match="more than once"):
+        chain([(0, (1, 2)), (0, (1, 3))])
+
+
+@pytest.mark.parametrize(
+    "legs1,legs2,message",
+    [((1, 2), (2, 3), "more than once"), ((1,), (3,), "1..n")],
+    ids=["overlap", "gap"],
+)
+def test_two_vertex_divisor_rejects_bad_marks(legs1, legs2, message):
+    with pytest.raises(ValueError, match=message):
+        two_vertex_divisor(1, legs1, 1, legs2)
+
+
+@pytest.mark.parametrize(
+    "g1,legs1,g2,legs2,legs",
+    [
+        (1, (1, 2), 1, (), (0, 0)),
+        (0, (1, 3), 2, (2,), (0, 1, 0)),
+        (2, (), 0, {3, 1, 2}, (1, 1, 1)),
+        (1, (), 1, (), ()),
+    ],
+)
+def test_two_vertex_divisor_matches_hand_built_graph(g1, legs1, g2, legs2, legs):
+    assert two_vertex_divisor(g1, legs1, g2, legs2) == DualGraph((g1, g2), ((0, 1),), legs)
+
+
 @pytest.mark.parametrize(
     "g,n", [(0, 0), (0, 1), (0, 2), (1, 0)]
 )

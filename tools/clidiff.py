@@ -1,18 +1,19 @@
 """Byte-for-byte comparison of the ``strata`` CLI between two checkouts.
 
 Runs one fixed list of invocations against ``OLD/src`` and ``NEW/src``, each
-in a fresh interpreter with ``STRATA_CACHE_DIR`` unset and its own empty
-working directory holding the fixture files the error cases read.  Exit
-code, stdout and stderr are compared; ``verify`` timings and the checkout's
-own path (which shows in tracebacks) are masked first.  Each difference is
-printed, and the exit code is 1 if there is any.  Standard library only.
+in a fresh interpreter with ``STRATA_CACHE_DIR`` unset (older checkouts read
+it) and its own empty working directory holding the fixture files the error
+cases read.  Exit code, stdout and stderr are compared; ``verify`` timings
+and the checkout's own path (which shows in tracebacks) are masked first.
+Each difference is printed, and the exit code is 1 if there is any.
+Standard library only.
 
     python3 tools/clidiff.py OLD NEW
 
 The list covers ``enumerate`` at every k in every format, ``complex`` full
 and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
-``verify`` in text and json, and ``intersect`` json on pairs of the first
-four divisors, on the cells below; ``paper-suite`` in text and json;
+``verify`` in text and json, and ``intersect`` in every format on pairs of
+the first four divisors, on the cells below; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``.  Divisor keys are read from
 OLD's ``complex`` output, so both sides get the same arguments.
@@ -105,7 +106,7 @@ def invocations(old: Path) -> list[list[str]]:
         for command in ("flag-check", "witness", "verify"):
             calls += [[command, *sig, "--format", f] for f in ("text", "json")]
         for a, b in combinations(keys[g, n][:4], 2):
-            calls.append(["intersect", *sig, "--format", "json", a, b])
+            calls += [["intersect", *sig, "--format", f, a, b] for f in FORMATS]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
 
