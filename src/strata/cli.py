@@ -25,10 +25,8 @@ from .complexes import (
     boundary_complex,
     check_theorem,
     flag_verdict,
-    high_genus_divisors,
-    high_genus_pair_components,
-    pinwheel_divisor,
-    pinwheel_pair_component,
+    high_genus,
+    pinwheel,
     universal_degeneration,
 )
 from .enumeration import (
@@ -125,12 +123,13 @@ def _resolve_divisor_inputs(
         raise ValueError(f"mixed signatures among inputs: {sorted(map(str, signatures))}")
     if args.g is not None and args.n is not None:
         sig = GnSignature(args.g, args.n)
-        if signatures and {sig} != signatures:
-            raise ValueError("inputs do not match the requested signature")
     elif signatures:
-        sig = signatures.pop()
+        sig = next(iter(signatures))
     else:
         raise ValueError("bare keys need --g and --n to fix the signature")
+    for found in signatures:
+        if args.g not in (None, found.g) or args.n not in (None, found.n):
+            raise ValueError("inputs do not match the requested signature")
     return divisor_set(sig, graphs + keys, store)
 
 
@@ -329,32 +328,20 @@ def _paper_suite_checks(store: StratumStore):
                     return False, f"fails at {sig}"
         return True, ""
 
-    def family(sig, divisors, displayed):
-        """Pair (i, j) of labelled ``divisors`` meets in ``displayed[i, j]``; all do not meet."""
-        for i, j in combinations(divisors, 2):
-            S = divisor_set(sig, [divisors[i], divisors[j]], store)
+    def family(F):
+        """Pair (i, j) of ``F`` meets in ``F.pairs[i, j]`` alone; all do not meet."""
+        for i, j in combinations(F.divisors, 2):
+            S = divisor_set(F.signature, [F.divisors[i], F.divisors[j]], store)
             report = intersection_components(S, store)
-            if {canonical_key(G) for G in report.components} != {canonical_key(displayed[i, j])}:
+            if {canonical_key(G) for G in report.components} != {canonical_key(F.pairs[i, j])}:
                 return False, f"pair {i},{j} mismatch"
-        if intersection_components(divisor_set(sig, divisors.values(), store), store).nonempty:
+        S = divisor_set(F.signature, F.divisors.values(), store)
+        if intersection_components(S, store).nonempty:
             return False, "total intersection not empty"
         return True, ""
 
-    def pinwheel(n):
-        marks = range(1, n + 1)
-        return family(
-            GnSignature(2, n),
-            {i: pinwheel_divisor(n, i) for i in marks},
-            {(i, j): pinwheel_pair_component(n, i, j) for i, j in combinations(marks, 2)},
-        )
-
     def pinwheel_flag_23():
         return not flag_verdict(GnSignature(2, 3), store).is_flag, ""
-
-    def high_genus(g, n):
-        return family(
-            GnSignature(g, n), high_genus_divisors(g, n), high_genus_pair_components(g, n)
-        )
 
     def theorem_spots():
         for g, n in [(2, 2), (2, 3), (1, 3), (0, 5), (3, 2)]:
@@ -370,11 +357,11 @@ def _paper_suite_checks(store: StratumStore):
     yield "M23 union of two strata", m23_union_of_two
     yield "M12 parallel-edge remark", m12_parallel_edges
     yield "universal degenerations for zero or one mark", universal_degenerations
-    yield "pinwheel family (2,3)", lambda: pinwheel(3)
-    yield "pinwheel family (2,4)", lambda: pinwheel(4)
+    yield "pinwheel family (2,3)", lambda: family(pinwheel(3))
+    yield "pinwheel family (2,4)", lambda: family(pinwheel(4))
     yield "pinwheel breaks flagness at (2,3)", pinwheel_flag_23
-    yield "high-genus triple (3,2)", lambda: high_genus(3, 2)
-    yield "high-genus triple (4,2)", lambda: high_genus(4, 2)
+    yield "high-genus triple (3,2)", lambda: family(high_genus(3, 2))
+    yield "high-genus triple (4,2)", lambda: family(high_genus(4, 2))
     yield "classification spot grid", theorem_spots
 
 

@@ -19,6 +19,7 @@ never forces a deep enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .enumeration import BudgetExceededError, StratumStore
@@ -53,7 +54,11 @@ class BoundaryComplex:
         return face in self.faces.get(len(face), frozenset())
 
     def adjacency(self) -> list[set[int]]:
-        return _adjacency(len(self.vertices), self.faces.get(2, ()))
+        adj: list[set[int]] = [set() for _ in self.vertices]
+        for u, v in map(sorted, self.faces.get(2, ())):
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal faces, as sorted index tuples in lexicographic order."""
@@ -110,15 +115,6 @@ def boundary_complex(
     )
 
 
-def _adjacency(num_vertices: int, edges: Iterable[frozenset[int]]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(num_vertices)]
-    for face in edges:
-        u, v = sorted(face)
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _subfaces(faces: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
     """Each face with one vertex dropped, lazily and with repeats."""
     for face in faces:
@@ -167,27 +163,27 @@ class FlagVerdict:
 
 
 def _flag_walk(
-    vertices: tuple[bytes, ...],
-    edges: Iterable[frozenset[int]],
-    is_face: Callable[[frozenset[int]], bool],
+    edges: Iterable[frozenset[bytes]],
+    is_face: Callable[[frozenset[bytes]], bool],
     cap: int,
 ) -> FlagVerdict:
     """Level-by-level clique search of the 1-skeleton spanned by ``edges``.
 
-    Faces are sets of indices into ``vertices``.  Cliques of size j+1 are
-    extensions of size-j cliques by a vertex above their maximum, so each
+    Vertices and faces are divisor keys.  Cliques of size j+1 are
+    extensions of size-j cliques by a key above their maximum, so each
     clique is generated once; a level is extended only after every clique
     in it proved to be a face, which makes the first failure minimal by
-    size, and the lexicographically least failure is the witness, reported
-    by its divisor keys.  Cliques larger than ``cap`` cannot be faces.
+    size, and the lexicographically least failure is the witness.  Cliques
+    larger than ``cap`` cannot be faces.
     """
-    adjacency = _adjacency(len(vertices), edges)
-    cliques = sorted(
-        (u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if v > u
-    )
+    cliques = sorted(tuple(sorted(edge)) for edge in edges)
+    adjacency: dict[bytes, set[bytes]] = {}
+    for u, v in cliques:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
     while cliques:
-        next_level: list[tuple[int, ...]] = []
-        nonfaces: list[tuple[int, ...]] = []
+        next_level: list[tuple[bytes, ...]] = []
+        nonfaces: list[tuple[bytes, ...]] = []
         for c in cliques:
             shared = set.intersection(*(adjacency[u] for u in c))
             for w in sorted(shared):
@@ -199,9 +195,8 @@ def _flag_walk(
                 else:
                     nonfaces.append(nc)
         if nonfaces:
-            keys = tuple(vertices[i] for i in min(nonfaces))
             return FlagVerdict(
-                WitnessReport(clique=keys, is_face=False, components=(), pairwise_ok=True)
+                WitnessReport(clique=min(nonfaces), is_face=False, components=(), pairwise_ok=True)
             )
         cliques = next_level
     return FlagVerdict(None)
@@ -217,16 +212,18 @@ def is_flag(C: BoundaryComplex) -> FlagVerdict:
     """
     if C.max_dim < 2 <= min(C.signature.dim, len(C.vertices)):
         raise ValueError(f"complex truncated at max_dim={C.max_dim}; it has no 1-skeleton")
+    index = {key: i for i, key in enumerate(C.vertices)}
 
-    def face_test(face: frozenset[int]) -> bool:
+    def face_test(face: frozenset[bytes]) -> bool:
         if len(face) > C.max_dim:
             raise ValueError(
                 f"complex truncated at max_dim={C.max_dim}; "
                 f"flag check reached a clique of size {len(face)}"
             )
-        return C.is_face(face)
+        return C.is_face(index[key] for key in face)
 
-    return _flag_walk(C.vertices, C.faces.get(2, ()), face_test, C.signature.dim)
+    edges = (frozenset(C.vertices[i] for i in edge) for edge in C.faces.get(2, ()))
+    return _flag_walk(edges, face_test, C.signature.dim)
 
 
 def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
@@ -236,13 +233,9 @@ def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
     enumerates strata up to the level where the walk settles, which keeps
     spaces with small witnesses cheap.
     """
-    vertices = store.divisors(sig).keys()
-    index = {key: i for i, key in enumerate(vertices)}
-    pairs = store.faces(sig, 2) if sig.dim >= 2 else {}
     return _flag_walk(
-        vertices,
-        (frozenset(index[k] for k in pair) for pair in pairs),
-        lambda face: frozenset(vertices[i] for i in face) in store.faces(sig, len(face)),
+        store.faces(sig, 2) if sig.dim >= 2 else (),
+        lambda face: face in store.faces(sig, len(face)),
         sig.dim,
     )
 
@@ -307,48 +300,57 @@ def check_theorem(sig: GnSignature, store: StratumStore) -> TheoremVerdict:
 # -- counterexample families ---------------------------------------------------
 
 
-def pinwheel_divisor(n: int, i: int) -> DualGraph:
-    """Genus-2 divisor: genus-1 vertex with every mark but ``i`` -- genus-1 with ``i``."""
-    return divisor_graph(2, n, (1, [m for m in range(1, n + 1) if m != i]))
+@dataclass(frozen=True)
+class Family:
+    """Divisors labelled 1..m that meet pairwise but not all together.
+
+    ``pairs[i, j]`` (i < j) is the displayed graph of the one component in
+    which divisors ``i`` and ``j`` meet.
+    """
+
+    signature: GnSignature
+    divisors: Mapping[int, DualGraph]
+    pairs: Mapping[tuple[int, int], DualGraph]
 
 
-def pinwheel_family(n: int, store: StratumStore) -> DivisorSet:
-    """The n genus-2 divisors whose pairwise meets are nonempty but whose
-    total intersection is empty."""
+def pinwheel(n: int) -> Family:
+    """The n genus-2 pinwheel divisors, n >= 3.
+
+    Divisor i is a genus-1 vertex with every mark but i -- genus-1 with i;
+    divisors i and j meet in the chain 1(i) -- 0(rest) -- 1(j).
+    """
     if n < 3:
         raise ValueError("pinwheel family needs n >= 3")
-    sig = GnSignature(2, n)
-    return divisor_set(sig, [pinwheel_divisor(n, i) for i in range(1, n + 1)], store)
+    marks = range(1, n + 1)
+    return Family(
+        GnSignature(2, n),
+        {i: divisor_graph(2, n, (1, [m for m in marks if m != i])) for i in marks},
+        {
+            (i, j): chain([(1, (i,)), (0, [m for m in marks if m not in (i, j)]), (1, (j,))])
+            for i, j in combinations(marks, 2)
+        },
+    )
 
 
-def pinwheel_pair_component(n: int, i: int, j: int) -> DualGraph:
-    """The displayed chain 1(i) -- 0(rest) -- 1(j) realizing a pairwise meet."""
-    rest = tuple(m for m in range(1, n + 1) if m not in (i, j))
-    return chain([(1, (i,)), (0, rest), (1, (j,))])
+def high_genus(g: int, n: int) -> Family:
+    """The three divisors of the g >= 3, n >= 2 counterexample.
 
-
-def high_genus_divisors(g: int, n: int) -> dict[int, DualGraph]:
-    """The three divisor graphs of the g >= 3, n >= 2 counterexample, keyed 1-based."""
+    Divisor t is a genus-(g-1) vertex with marks (), (1,) or (2..n) for
+    t = 1, 2, 3 -- genus 1 with the other marks.
+    """
     if g < 3 or n < 2:
         raise ValueError("high-genus triple needs g >= 3 and n >= 2")
-    sides = {1: (), 2: (1,), 3: range(2, n + 1)}
-    return {t: divisor_graph(g, n, (g - 1, A)) for t, A in sides.items()}
-
-
-def high_genus_triple(g: int, n: int, store: StratumStore) -> DivisorSet:
-    """The three divisors of the g >= 3, n >= 2 counterexample."""
-    D = high_genus_divisors(g, n)
-    return divisor_set(GnSignature(g, n), list(D.values()), store)
-
-
-def high_genus_pair_components(g: int, n: int) -> dict[tuple[int, int], DualGraph]:
-    """The displayed graphs of the three pairwise intersections, keyed 1-based."""
     rest = tuple(range(2, n + 1))
-    return {
-        (1, 2): chain([(g - 1, ()), (0, (1,)), (1, rest)]),
-        (1, 3): chain([(g - 1, ()), (0, rest), (1, (1,))]),
-        (2, 3): chain([(1, rest), (g - 2, ()), (1, (1,))]),
-    }
+    sides = {1: (), 2: (1,), 3: rest}
+    return Family(
+        GnSignature(g, n),
+        {t: divisor_graph(g, n, (g - 1, A)) for t, A in sides.items()},
+        {
+            (1, 2): chain([(g - 1, ()), (0, (1,)), (1, rest)]),
+            (1, 3): chain([(g - 1, ()), (0, rest), (1, (1,))]),
+            (2, 3): chain([(1, rest), (g - 2, ()), (1, (1,))]),
+        },
+    )
 
 
 def universal_degeneration(sig: GnSignature) -> DualGraph:

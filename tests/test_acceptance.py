@@ -24,7 +24,7 @@ from strata import (
     chain,
     check_theorem,
     flag_verdict,
-    high_genus_pair_components,
+    high_genus,
     intersect_nonempty,
     intersection_components,
     is_degeneration,
@@ -32,8 +32,7 @@ from strata import (
     is_isomorphic,
     divisor_set,
     one_vertex,
-    pinwheel_family,
-    pinwheel_pair_component,
+    pinwheel,
     two_vertex_divisor,
     universal_degeneration,
 )
@@ -185,13 +184,13 @@ def test_criterion_3_m12_parallel_edges(store):
 def test_criterion_4_pinwheel_families(store):
     start = time.perf_counter()
     for n in (3, 4):
-        sig = GnSignature(2, n)
-        family = pinwheel_family(n, store)
-        for (i, a), (j, b) in combinations(enumerate(family.keys, start=1), 2):
-            report = intersection_components(DivisorSet(sig, (a, b)), store)
-            shape = canonical_key(pinwheel_pair_component(n, i, j))
+        F = pinwheel(n)
+        for i, j in combinations(F.divisors, 2):
+            S = divisor_set(F.signature, [F.divisors[i], F.divisors[j]], store)
+            report = intersection_components(S, store)
+            shape = canonical_key(F.pairs[i, j])
             assert {canonical_key(G) for G in report.components} == {shape}
-        assert not intersect_nonempty(family, store)
+        assert not intersect_nonempty(divisor_set(F.signature, F.divisors.values(), store), store)
     flag23 = flag_verdict(GnSignature(2, 3), store)
     elapsed = time.perf_counter() - start
     ok = not flag23.is_flag and elapsed < 30.0
@@ -211,7 +210,7 @@ def test_criterion_5_high_genus_triples(store):
             2: chain([(g - 1, (1,)), (1, rest)]),
             3: chain([(g - 1, rest), (1, (1,))]),
         }
-        for (i, j), displayed in high_genus_pair_components(g, n).items():
+        for (i, j), displayed in high_genus(g, n).pairs.items():
             S = divisor_set(sig, [D[i], D[j]], store)
             report = intersection_components(S, store)
             assert len(report.components) == 1

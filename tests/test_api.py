@@ -23,7 +23,7 @@ def test_no_public_store_parameter_has_a_default():
         elif inspect.isfunction(obj):
             functions.append(obj)
     with_store = [f for f in functions if "store" in inspect.signature(f).parameters]
-    assert len(with_store) >= 9
+    assert len(with_store) >= 7
     for f in with_store:
         param = inspect.signature(f).parameters["store"]
         assert param.default is inspect.Parameter.empty, f.__qualname__

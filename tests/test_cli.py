@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,8 @@ from strata import (
     boundary_complex,
     canonical_key,
     chain,
-    high_genus_pair_components,
     key_to_hex,
     one_vertex,
-    pinwheel_pair_component,
     two_vertex_divisor,
 )
 from strata.cli import main
@@ -147,6 +146,25 @@ def test_intersect_mixed_signatures(capsys, tmp_path):
     code, _, err = run(capsys, "intersect", str(a), str(b))
     assert code == 2
     assert "mixed" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--g", "7"], ["--n", "9"], ["--g", "3", "--n", "9"]], ids=["g", "n", "g-and-n"]
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_intersect_rejects_flags_other_than_files_signature(capsys, tmp_path, flags, fmt):
+    paths = []
+    for t, G in enumerate([one_vertex(1, 2, loops=1), two_vertex_divisor(1, (1,), 1, (2,))]):
+        path = tmp_path / f"d{t}.json"
+        path.write_text(G.to_json())
+        paths.append(str(path))
+    code, out, err = run(capsys, "intersect", *flags, "--format", fmt, *paths)
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"] if fmt == "json" else err
+    assert "inputs do not match the requested signature" in message
+    code, _, _ = run(capsys, "intersect", flags[0], "2", *paths)  # the files are (2,2)
+    assert code == 0
 
 
 def test_intersect_requires_signature_for_bare_keys(capsys):
@@ -335,25 +353,21 @@ def test_paper_suite_json(capsys):
     assert {"name": "pinwheel family (2,3)", "passed": True, "detail": ""} in rows
 
 
-def _pinwheel_pair_wrong(n, i, j):
-    return pinwheel_pair_component(n, 1, 3)
+def _pair_1_2_shows_pair_1_3(make):
+    def wrong(*args):
+        F = make(*args)
+        return replace(F, pairs={**F.pairs, (1, 2): F.pairs[1, 3]})
 
-
-def _high_genus_pair_1_2_wrong(g, n):
-    shown = high_genus_pair_components(g, n)
-    return {**shown, (1, 2): shown[1, 3]}
+    return wrong
 
 
 @pytest.mark.parametrize(
-    "name,wrong,family",
-    [
-        ("pinwheel_pair_component", _pinwheel_pair_wrong, "pinwheel family"),
-        ("high_genus_pair_components", _high_genus_pair_1_2_wrong, "high-genus triple"),
-    ],
+    "name,family",
+    [("pinwheel", "pinwheel family"), ("high_genus", "high-genus triple")],
     ids=["pinwheel", "high-genus"],
 )
-def test_paper_suite_family_mismatch_fails(capsys, monkeypatch, name, wrong, family):
-    monkeypatch.setattr(f"strata.cli.{name}", wrong)
+def test_paper_suite_family_mismatch_fails(capsys, monkeypatch, name, family):
+    monkeypatch.setattr(f"strata.cli.{name}", _pair_1_2_shows_pair_1_3(getattr(strata, name)))
     code, out, _ = run(capsys, "paper-suite")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]

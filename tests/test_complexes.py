@@ -11,20 +11,16 @@ from strata import (
     StratumStore,
     boundary_complex,
     canonical_key,
-    chain,
     check_theorem,
     flag_verdict,
-    high_genus_pair_components,
-    high_genus_triple,
+    high_genus,
     intersect_nonempty,
     intersection_components,
     is_degeneration,
     is_flag,
     is_isomorphic,
     one_vertex,
-    pinwheel_divisor,
-    pinwheel_family,
-    pinwheel_pair_component,
+    pinwheel,
     predicted_flag,
     two_vertex_divisor,
     universal_degeneration,
@@ -207,7 +203,7 @@ def test_flag_witness_at_2_3(store):
     assert witness is not None
     assert len(witness.clique) == 3
     assert witness.pairwise_ok and not witness.is_face
-    expected = {canonical_key(pinwheel_divisor(3, i)) for i in (1, 2, 3)}
+    expected = {canonical_key(D) for D in pinwheel(3).divisors.values()}
     assert set(witness.clique) == expected
 
 
@@ -241,12 +237,12 @@ def test_witness_is_lexicographically_minimal(store):
 
 def test_witness_for_probe(store):
     sig = GnSignature(2, 3)
-    family = pinwheel_family(3, store)
-    probe = witness_for(sig, family.keys, store)
+    divisors = list(pinwheel(3).divisors.values())
+    probe = witness_for(sig, divisors, store)
     assert not probe.is_face
     assert probe.pairwise_ok
     assert probe.components == ()
-    single = witness_for(sig, family.keys[:1], store)
+    single = witness_for(sig, divisors[:1], store)
     assert single.is_face
     assert len(single.components) == 1
 
@@ -254,57 +250,38 @@ def test_witness_for_probe(store):
 # -- counterexample families ------------------------------------------------------
 
 
-def test_pinwheel_family_shapes(store):
-    family = pinwheel_family(3, store)
-    sig = family.signature
-    assert sig == GnSignature(2, 3)
-    for (i, a), (j, b) in combinations(enumerate(family.keys, start=1), 2):
-        report = intersection_components(DivisorSet(sig, (a, b)), store)
+FAMILIES = {
+    "pinwheel(3)": pinwheel(3),
+    "pinwheel(4)": pinwheel(4),
+    "high_genus(3,2)": high_genus(3, 2),
+    "high_genus(4,2)": high_genus(4, 2),
+    "high_genus(3,3)": high_genus(3, 3),
+}
+
+
+@pytest.mark.parametrize("F", FAMILIES.values(), ids=FAMILIES.keys())
+def test_family_pairs_meet_in_displayed_graph_but_all_do_not(store, F):
+    sig = F.signature
+    key = {i: canonical_key(D) for i, D in F.divisors.items()}
+    assert set(F.pairs) == set(combinations(F.divisors, 2))
+    for (i, j), shown in F.pairs.items():
+        report = intersection_components(DivisorSet(sig, (key[i], key[j])), store)
         assert len(report.components) == 1
-        assert is_isomorphic(report.components[0], pinwheel_pair_component(3, i, j))
-    assert not intersect_nonempty(family, store)
+        assert is_isomorphic(report.components[0], shown)
+        assert shown.delta_support() == {key[i], key[j]}
+    assert not intersect_nonempty(DivisorSet(sig, tuple(key.values())), store)
 
 
-def test_pinwheel_family_four_marks(store):
-    family = pinwheel_family(4, store)
-    sig = family.signature
-    for a, b in combinations(family.keys, 2):
-        assert intersect_nonempty(DivisorSet(sig, (a, b)), store)
-    assert not intersect_nonempty(family, store)
-
-
-def test_pinwheel_requires_three_marks(store):
+def test_pinwheel_requires_three_marks():
     with pytest.raises(ValueError):
-        pinwheel_family(2, store)
+        pinwheel(2)
 
 
-def test_high_genus_triple_displayed_components(store):
-    for g, n in [(3, 2), (4, 2)]:
-        sig = GnSignature(g, n)
-        all_marks = tuple(range(1, n + 1))
-        rest = tuple(range(2, n + 1))
-        D = {
-            1: chain([(g - 1, ()), (1, all_marks)]),
-            2: chain([(g - 1, (1,)), (1, rest)]),
-            3: chain([(g - 1, rest), (1, (1,))]),
-        }
-        displayed = high_genus_pair_components(g, n)
-        for (i, j), expected in displayed.items():
-            S = DivisorSet(
-                sig, (canonical_key(D[i]), canonical_key(D[j]))
-            )
-            report = intersection_components(S, store)
-            assert len(report.components) == 1
-            assert is_isomorphic(report.components[0], expected)
-        triple = high_genus_triple(g, n, store)
-        assert not intersect_nonempty(triple, store)
-
-
-def test_high_genus_triple_bounds(store):
+def test_high_genus_triple_bounds():
     with pytest.raises(ValueError):
-        high_genus_triple(2, 3, store)
+        high_genus(2, 3)
     with pytest.raises(ValueError):
-        high_genus_triple(3, 1, store)
+        high_genus(3, 1)
 
 
 def test_universal_degeneration_instances(store):

@@ -11,14 +11,12 @@ from strata import (
     canonical_key,
     chain,
     divisor_set,
-    high_genus_triple,
     intersect_nonempty,
     intersection_components,
     is_degeneration,
     is_isomorphic,
     is_tree_type,
     one_vertex,
-    pinwheel_family,
     sigma,
     sigma_inverse,
     two_vertex_divisor,
@@ -120,24 +118,6 @@ def test_union_of_two_codim2_strata(store):
     }
     assert {canonical_key(G) for G in report.components} == displayed
     assert len(report.components) == 2
-
-
-def test_high_genus_triple_empty_but_pairs_meet(store):
-    S = high_genus_triple(3, 2, store)
-    assert not intersection_components(S, store).nonempty
-    keys = S.keys
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert intersect_nonempty(DivisorSet(S.signature, (keys[i], keys[j])), store)
-
-
-def test_pinwheel_pairs_meet_but_triple_empty(store):
-    S = pinwheel_family(3, store)
-    keys = S.keys
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert intersect_nonempty(DivisorSet(S.signature, (keys[i], keys[j])), store)
-    assert not intersect_nonempty(S, store)
 
 
 def test_intersection_k_beyond_dimension_rejected(store):

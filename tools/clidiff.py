@@ -15,8 +15,10 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 ``verify`` in text and json, and ``intersect`` in every format on pairs of
 the first four divisors, on the cells below; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
-and the error cases of ``tests/test_cli.py``.  Divisor keys are read from
-OLD's ``complex`` output, so both sides get the same arguments.
+and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
+only one of ``--g``/``--n`` given against files of another signature.
+Divisor keys are read from OLD's ``complex`` output, so both sides get the
+same arguments.
 """
 
 from __future__ import annotations
@@ -118,6 +120,8 @@ def invocations(old: Path) -> list[list[str]]:
             ["intersect", "--format", f, "loop22.json", "no_edges.json"],
             ["intersect", "--format", f, "loop22.json", "bad_genus.json"],
             ["intersect", "--format", f, "deep.json"],
+            ["intersect", "--g", "7", "--format", f, "d0.json", "d1.json"],
+            ["intersect", "--n", "9", "--format", f, "d0.json", "d1.json"],
             ["verify", "--g", "3:1", "--n", "2", "--format", f],
             ["verify", "--g", "0", "--n", "0:2", "--format", f],
         ]
