@@ -172,8 +172,8 @@ def _split_moves(
                     yield a1, mask, label
 
 
-def _split_child(G: DualGraph, v: int, a1: int, mask: int) -> DualGraph:
-    """The child of one :func:`_split_moves` move; the new edge comes last."""
+def _split_child(G: DualGraph, v: int, a1: int, mask: int, sides: tuple) -> DualGraph:
+    """The child of one :func:`_split_moves` move, carrying ``sides``; the new edge comes last."""
     new, bit = G.num_vertices, 1
     genus, legs = list(G.genus) + [G.genus[v] - a1], list(G.legs)
     genus[v] = a1
@@ -188,7 +188,7 @@ def _split_child(G: DualGraph, v: int, a1: int, mask: int) -> DualGraph:
             j, bit = (new if mask & bit else v), bit << 1
         edges.append((i, j))
     edges.append((v, new))
-    return DualGraph._trusted(tuple(genus), edges, tuple(legs))
+    return DualGraph._trusted(tuple(genus), edges, tuple(legs), sides)
 
 
 def children(G: DualGraph) -> Iterator[DualGraph]:
@@ -198,20 +198,21 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
     edges keep ``G``'s labels, since smoothing commutes, so a split child is
     kept when its new label is ``None`` or at most ``G``'s least; the new
     edge of a loop child is a loop, labelled ``None``, so all are kept.
+    Each child carries its labels, ``G``'s and then its new edge's.
     """
     sides, g = _edge_sides(G), G.total_genus
     # An edgeless G keeps every child: (g + 1, 0) is above every label.
     bound = None if None in sides else min(sides, default=(g + 1, 0))
-    tables = _vertex_tables(G)
+    tables, labels = _vertex_tables(G), _divisor_table(g, G.n)[2]
     for v in range(G.num_vertices):
-        for a1, mask, _ in _split_moves(G, v, bound, tables, g):
-            yield _split_child(G, v, a1, mask)
+        for a1, mask, label in _split_moves(G, v, bound, tables, g):
+            yield _split_child(G, v, a1, mask, sides + (labels[label],))
     valence = tables[0]
     for v, a in enumerate(G.genus):  # a loop child trades one genus at v for a loop
         if a > 1 or a == 1 and valence[v] > 0:
             genus = list(G.genus)
             genus[v] = a - 1
-            yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs)
+            yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs, sides + (None,))
 
 
 def _generate_level(
@@ -345,17 +346,18 @@ class StratumStore:
         path = self._path(level.signature, level.edge_count)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         obj = level.to_json_obj()
         obj.update(count=len(level), sha256=_digest(level))
         payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
+        tmp = None
+        try:  # a cache that cannot be written is skipped, whatever the reason
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
             os.replace(tmp, path)
         except OSError:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
 

@@ -20,6 +20,7 @@ divisor, a bridge to the split of genus and marks between its two sides.
 One spanning-tree pass finds every bridge and its sides, and the divisor
 table of the signature (:func:`_divisor_table`, the one place divisors are
 built and keyed) turns each description into the divisor's canonical key.
+A generated graph carries its labels from its parent instead.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class DualGraph:
     genus: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     legs: tuple[int, ...]
+    _sides = None  # edge labels carried from a parent; see :func:`_edge_sides`
 
     def __post_init__(self) -> None:
         genus = tuple(self.genus)
@@ -117,19 +119,20 @@ class DualGraph:
             raise ValueError("graph is not connected")
 
     @classmethod
-    def _trusted(cls, genus: tuple[int, ...], edges: Iterable, legs: tuple[int, ...]) -> DualGraph:
+    def _trusted(cls, genus: tuple[int, ...], edges: Iterable, legs: tuple[int, ...],
+                 sides: tuple | None = None) -> DualGraph:
         """Build without validation; edges are still normalised to ``i <= j``.
 
         Only for graphs made from a valid graph by a move that keeps it
         valid, such as a vertex split or an added loop.  Input read from
-        outside goes through the validating constructor.
+        outside goes through the validating constructor.  ``sides`` are the
+        new graph's :func:`_edge_sides` labels, carried from its parent.
         """
-        G = object.__new__(cls)
-        vars(G).update(
-            genus=genus,
-            edges=tuple([(i, j) if i <= j else (j, i) for i, j in edges]),
-            legs=legs,
-        )
+        G = object.__new__(cls)  # attributes kept inline: vars(G) would give each graph a dict
+        object.__setattr__(G, "genus", genus)
+        object.__setattr__(G, "edges", tuple([(i, j) if i <= j else (j, i) for i, j in edges]))
+        object.__setattr__(G, "legs", legs)
+        object.__setattr__(G, "_sides", sides)
         return G
 
     # -- basic shape ------------------------------------------------------
@@ -376,7 +379,7 @@ def canonical_key(G: DualGraph) -> bytes:
 # -- one-edge smoothings ----------------------------------------------------
 
 
-def _edge_sides(G: DualGraph) -> list[tuple[int, int] | None]:
+def _edge_sides(G: DualGraph) -> tuple[tuple[int, int] | None, ...]:
     """Per edge, the divisor its one-edge smoothing lands on, as a description.
 
     ``None`` (the loop divisor) for an edge on a cycle; for a bridge, the
@@ -385,8 +388,10 @@ def _edge_sides(G: DualGraph) -> list[tuple[int, int] | None]:
     edge is a bridge exactly when those bits XOR to zero over the subtree
     below it, i.e. no edge off the tree leaves that subtree.  A side of
     genus ``a`` has ``2a - 1`` equal to the sum of ``2 * genus + edge ends -
-    2`` over its vertices.
+    2`` over its vertices.  A generated graph's carried labels come back as is.
     """
+    if G._sides is not None:
+        return G._sides
     genus, edges, legs = G.genus, G.edges, G.legs
     V = len(genus)
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(V)]
@@ -421,22 +426,24 @@ def _edge_sides(G: DualGraph) -> list[tuple[int, int] | None]:
         cut[p] ^= cut[v]
         weight[p] += weight[v]
         marks[p] |= marks[v]
-    return sides
+    return tuple(sides)
 
 
 @lru_cache(maxsize=16)
 def _divisor_table(
     g: int, n: int
-) -> tuple[Mapping[bytes, DualGraph], dict[tuple[int, int] | None, bytes]]:
-    """The boundary divisors of (g, n): graph by key, in key order, and key by description.
+) -> tuple[Mapping[bytes, DualGraph], dict[tuple[int, int] | None, bytes], dict]:
+    """The boundary divisors of (g, n): graph by key in key order, key and label by description.
 
     Every stable :func:`divisor_graph` is a divisor: the loop graph, then
     each split (a, A) by a, |A| and A; the first candidate of each class
     represents it.  A divisor's description is the :func:`_edge_sides` label
     of its one edge, so a split and its swap share one.  The sides of a
     bridge in a stable graph are stable, so every edge of a stable graph
-    has its description here.  The 16 signatures used last keep their table;
-    every store shares it, so the graph map is read-only.
+    has its description here.  A label is the description itself, so the
+    labels that generated graphs carry hold one tuple per divisor.
+    The 16 signatures used last keep their table; every store shares it,
+    so the graph map is read-only.
     """
     graphs: dict[bytes, DualGraph] = {}
     keys: dict[tuple[int, int] | None, bytes] = {}
@@ -453,7 +460,7 @@ def _divisor_table(
             if description not in keys:
                 keys[description] = key = canonical_key(G)
                 graphs[key] = G
-    return MappingProxyType(dict(sorted(graphs.items()))), keys
+    return MappingProxyType(dict(sorted(graphs.items()))), keys, {d: d for d in keys}
 
 
 def key_to_hex(key: bytes) -> str:

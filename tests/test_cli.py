@@ -431,6 +431,21 @@ def test_non_object_level_file_keeps_flag_verdict(capsys, tmp_path):
     assert json.loads((tmp_path / "g1n4" / "k1.json").read_text())["k"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("blocked", ["g1n3", "g1n3/k1.json"])
+def test_unwritable_cache_leaves_output_and_exit_code(capsys, tmp_path, blocked, fmt):
+    """A file where the level directory goes, or a directory where a level file goes."""
+    argv = ("flag-check", "--g", "1", "--n", "3", "--format", fmt)
+    expected = run(capsys, *argv)
+    if blocked.endswith(".json"):
+        (tmp_path / blocked).mkdir(parents=True)
+    else:
+        (tmp_path / blocked).write_text("")
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
+    assert expected[0] == 0
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_bad_config_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "--g", "1", "--n", "1", "--k", "1",
                        "--max-graphs", "0")

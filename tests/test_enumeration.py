@@ -196,6 +196,8 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
                     moves = list(_split_moves(G, v, (g + 1, 0), tables, g))
                     built = list(oracle_split_children(G, v))
                     assert [m[:2] for m in moves] == [b[:2] for b in built]
+                    # Validated oracle children carry no labels: _edge_sides recomputes them.
+                    assert all(child._sides is None for _, _, child in built)
                     for (_, _, label), (_, _, child) in zip(moves, built):
                         sides = _edge_sides(child)
                         assert label == sides[-1], (sig, G.describe(), v)
@@ -204,6 +206,43 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
                 kept += [H for H in oracle_loop_children(G) if _least_is_last(_edge_sides(H))]
                 assert list(children(G)) == kept, (sig, G.describe())
             parents = store.level(sig, k)
+
+
+def test_carried_labels_equal_recomputed_on_acceptance_grid(store):
+    """Every generated representative carries its labels; a validated copy recomputes them."""
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        for k in range(1, sig.dim + 1):
+            for G in store.level(sig, k):
+                fresh = DualGraph(G.genus, G.edges, G.legs)
+                assert G._sides is not None and fresh._sides is None
+                carried = _edge_sides(G)
+                assert type(carried) is tuple and carried == _edge_sides(fresh), (sig, G.describe())
+
+
+def _face_keys(store, sig):
+    """Each level's faces, with the component graphs replaced by their keys."""
+    return [
+        {S: [canonical_key(H) for H in Hs] for S, Hs in store.faces(sig, k).items()}
+        for k in range(1, sig.dim + 1)
+    ]
+
+
+def test_loaded_levels_give_cold_faces_on_acceptance_grid(tmp_path):
+    """Loaded graphs carry no labels, so their supports are recomputed; the faces agree.
+
+    The cold store's graphs carry the divisor table's own descriptions, one tuple per divisor.
+    """
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        cold = StratumStore(cache_dir=tmp_path)
+        expected = _face_keys(cold, sig)
+        labels = _divisor_table(g, n)[2]
+        for k in range(1, sig.dim + 1):
+            assert all(side is labels[side] for G in cold.level(sig, k) for side in _edge_sides(G))
+        warm = StratumStore(cache_dir=tmp_path)
+        assert _face_keys(warm, sig) == expected, sig
+        assert all(G._sides is None for k in range(1, sig.dim + 1) for G in warm.level(sig, k))
 
 
 def test_enumeration_deterministic():

@@ -16,7 +16,8 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 the first four divisors, on the cells below; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
-only one of ``--g``/``--n`` given against files of another signature.
+only one of ``--g``/``--n`` given against files of another signature and
+``flag-check`` on a cache directory that cannot be written.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -60,6 +61,10 @@ FIXTURES = {
     "bad_genus.json": json.dumps({"schema": "dualgraph/1", "genus": 5, "edges": [], "legs": {}}),
     "deep.json": "[" * 200_000,
     "nested/g1n4/k1.json": "[" * 200_000,
+    # Cache dirs that cannot be written: a file where a signature's directory
+    # goes, and a directory where a level file goes.
+    "file_at_sig/g1n3": "",
+    "dir_at_level/g1n3/k1.json/keep": "",
 }
 
 
@@ -124,6 +129,8 @@ def invocations(old: Path) -> list[list[str]]:
             ["intersect", "--n", "9", "--format", f, "d0.json", "d1.json"],
             ["verify", "--g", "3:1", "--n", "2", "--format", f],
             ["verify", "--g", "0", "--n", "0:2", "--format", f],
+            ["flag-check", "--g", "1", "--n", "3", "--format", f, "--cache-dir", "file_at_sig"],
+            ["flag-check", "--g", "1", "--n", "3", "--format", f, "--cache-dir", "dir_at_level"],
         ]
     calls += [
         ["enumerate", "--g", "0", "--n", "5", "--k", "1", "--max-graphs", "3"],
