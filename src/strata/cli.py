@@ -6,9 +6,10 @@ usage errors, 3 for resource overflows.  With ``--format json`` errors are
 emitted as machine-readable JSON on stderr; only argparse's own errors (an
 unknown option, a value of the wrong type) stay text.
 
-Commands read the parsed arguments; each subcommand accepts only the
-options it reads.  All output is ordered by canonical key; execution is
-sequential.
+:func:`main` checks the options, builds the one :class:`StratumStore` and
+hands it with the parsed arguments to the command; each subcommand accepts
+only the options it reads.  All output is ordered by canonical key;
+execution is sequential.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ EXIT_BUDGET = 3
 FORMATS = ("text", "json", "dot")
 
 
-def _store(args: argparse.Namespace) -> StratumStore:
-    """The store named by ``--cache-dir`` and ``--max-graphs``."""
-    return StratumStore(cache_dir=args.cache_dir, max_graphs=args.max_graphs)
-
-
 def _emit_error(args: argparse.Namespace, code: str, message: str) -> None:
     if args.format == "json":
         print(_dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
@@ -84,17 +80,12 @@ def _graph_dot(G: DualGraph, name: str) -> str:
     return "\n".join(lines)
 
 
-def _require_text_or_json(args: argparse.Namespace, command: str) -> None:
-    if args.format == "dot":
-        raise ValueError(f"--format dot is not supported by {command}")
-
-
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    level = _store(args).level(sig, args.k)
+    level = store.level(sig, args.k)
     if args.format == "json":
         print(_dumps(level.to_json_obj()))
     elif args.format == "dot":
@@ -133,8 +124,7 @@ def _resolve_divisor_inputs(
     return divisor_set(sig, graphs + keys, store)
 
 
-def cmd_intersect(args: argparse.Namespace) -> int:
-    store = _store(args)
+def cmd_intersect(args: argparse.Namespace, store: StratumStore) -> int:
     S = _resolve_divisor_inputs(args, store)
     report = intersection_components(S, store)
     if args.format == "json":
@@ -150,9 +140,8 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     return EXIT_OK if report.nonempty else EXIT_NEGATIVE
 
 
-def cmd_complex(args: argparse.Namespace) -> int:
+def cmd_complex(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    store = _store(args)
     C = boundary_complex(sig, store, max_dim=args.max_dim)
     if args.format == "json":
         print(_dumps(C.to_json_obj()))
@@ -167,10 +156,8 @@ def cmd_complex(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_flag_check(args: argparse.Namespace) -> int:
-    _require_text_or_json(args, "flag-check")
+def cmd_flag_check(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    store = _store(args)
     verdict = flag_verdict(sig, store)
     if args.format == "json":
         obj = {
@@ -188,25 +175,21 @@ def cmd_flag_check(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.is_flag else EXIT_NEGATIVE
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
-    _require_text_or_json(args, "witness")
+def cmd_witness(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    store = _store(args)
-    verdict = flag_verdict(sig, store)
-    if verdict.witness is None:
-        if args.format == "json":
-            print(_dumps({"g": sig.g, "n": sig.n, "witness": None}))
-        else:
-            print(f"{sig} is a flag complex; no witness")
-        return EXIT_NEGATIVE
+    witness = flag_verdict(sig, store).witness
     if args.format == "json":
-        print(_dumps({"g": sig.g, "n": sig.n, "witness": verdict.witness.to_json_obj()}))
+        print(_dumps(
+            {"g": sig.g, "n": sig.n, "witness": witness.to_json_obj() if witness else None}
+        ))
+    elif witness is None:
+        print(f"{sig} is a flag complex; no witness")
     else:
         table = store.divisors(sig)
-        print(f"minimal non-face clique of size {len(verdict.witness.clique)} in {sig}:")
-        for key in verdict.witness.clique:
+        print(f"minimal non-face clique of size {len(witness.clique)} in {sig}:")
+        for key in witness.clique:
             print(f"  {key_to_hex(key)}  {table.graphs[key].describe()}")
-    return EXIT_OK
+    return EXIT_NEGATIVE if witness is None else EXIT_OK
 
 
 def _parse_range(text: str) -> range:
@@ -217,9 +200,7 @@ def _parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    _require_text_or_json(args, "verify")
-    store = _store(args)
+def cmd_verify(args: argparse.Namespace, store: StratumStore) -> int:
     rows = []
     budget_hit = False
     for g in _parse_range(args.g):
@@ -365,9 +346,7 @@ def _paper_suite_checks(store: StratumStore):
     yield "classification spot grid", theorem_spots
 
 
-def cmd_paper_suite(args: argparse.Namespace) -> int:
-    _require_text_or_json(args, "paper-suite")
-    store = _store(args)
+def cmd_paper_suite(args: argparse.Namespace, store: StratumStore) -> int:
     results = []
     for name, check in _paper_suite_checks(store):
         passed, detail = check()
@@ -400,35 +379,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard per-level graph budget",
     )
     common.add_argument("--format", choices=FORMATS, default="text")
+    common.set_defaults(dot=False)  # commands that render graphs set dot=True
+    signature = argparse.ArgumentParser(add_help=False)
+    signature.add_argument("--g", type=int, required=True)
+    signature.add_argument("--n", type=int, required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list strata of one level")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("enumerate", parents=[common, signature], help="list strata of one level")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, dot=True)
 
     p = sub.add_parser("intersect", parents=[common], help="intersect boundary divisors")
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("divisors", nargs="+", help="hex keys or dualgraph JSON files")
-    p.set_defaults(func=cmd_intersect)
+    p.set_defaults(func=cmd_intersect, dot=True)
 
-    p = sub.add_parser("complex", parents=[common], help="build the boundary complex")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("complex", parents=[common, signature], help="build the boundary complex")
     p.add_argument("--max-dim", type=int, default=None, help="complex build depth")
-    p.set_defaults(func=cmd_complex)
+    p.set_defaults(func=cmd_complex, dot=True)
 
-    p = sub.add_parser("flag-check", parents=[common], help="decide the flag property")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("flag-check", parents=[common, signature], help="decide the flag property")
     p.set_defaults(func=cmd_flag_check)
 
-    p = sub.add_parser("witness", parents=[common], help="minimal non-face clique")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("witness", parents=[common, signature], help="minimal non-face clique")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", parents=[common], help="classification over a grid")
@@ -449,7 +424,9 @@ def main(argv=None) -> int:
     try:
         if args.max_graphs < 1:
             raise ValueError("--max-graphs must be positive")
-        return args.func(args)
+        if args.format == "dot" and not args.dot:
+            raise ValueError(f"--format dot is not supported by {args.command}")
+        return args.func(args, StratumStore(args.cache_dir, args.max_graphs))
     except BudgetExceededError as exc:
         _emit_error(args, "budget", str(exc))
         return EXIT_BUDGET

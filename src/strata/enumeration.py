@@ -307,9 +307,11 @@ class StratumStore:
 
     def _load(self, sig: GnSignature, k: int) -> StratumSet | None:
         path = self._path(sig, k)
-        if path is None or not path.is_file():
+        if path is None:
             return None
-        try:
+        try:  # a missing, unreadable or non-regular file is regenerated, whatever the reason
+            if not path.is_file():
+                return None
             obj = json.loads(path.read_text(encoding="utf-8"))
             if (
                 not isinstance(obj, dict)

@@ -277,10 +277,20 @@ def test_witness_json(capsys, n, expected_code, size):
         assert payload["witness"]["is_face"] is False
 
 
-def test_dot_rejected_where_meaningless(capsys):
-    code, _, err = run(capsys, "flag-check", "--g", "2", "--n", "2", "--format", "dot")
-    assert code == 2
-    assert "dot" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flag-check", "--g", "2", "--n", "2"),
+        ("witness", "--g", "2", "--n", "2"),
+        ("verify", "--g", "2", "--n", "2"),
+        ("paper-suite",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dot_rejected_where_meaningless(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == f"error: --format dot is not supported by {argv[0]}\n"
 
 
 # -- verify / paper-suite ---------------------------------------------------------
@@ -444,6 +454,15 @@ def test_unwritable_cache_leaves_output_and_exit_code(capsys, tmp_path, blocked,
     assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
     assert expected[0] == 0
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unreadable_cache_leaves_output_and_exit_code(capsys, tmp_path, fmt):
+    """A cache path too long to stat (ENAMETOOLONG) is skipped on read as on write."""
+    argv = ("flag-check", "--g", "1", "--n", "3", "--format", fmt)
+    expected = run(capsys, *argv)
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path / ("x" * 300))) == expected
+    assert expected[0] == 0
 
 
 def test_bad_config_rejected(capsys):

@@ -16,8 +16,10 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 the first four divisors, on the cells below; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
-only one of ``--g``/``--n`` given against files of another signature and
-``flag-check`` on a cache directory that cannot be written.
+only one of ``--g``/``--n`` given against files of another signature,
+``flag-check`` on a cache directory that cannot be written and on one whose
+name is too long to read (``ENAMETOOLONG``), and ``--format dot`` on each
+command that does not render graphs.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -131,6 +133,7 @@ def invocations(old: Path) -> list[list[str]]:
             ["verify", "--g", "0", "--n", "0:2", "--format", f],
             ["flag-check", "--g", "1", "--n", "3", "--format", f, "--cache-dir", "file_at_sig"],
             ["flag-check", "--g", "1", "--n", "3", "--format", f, "--cache-dir", "dir_at_level"],
+            ["flag-check", "--g", "1", "--n", "3", "--format", f, "--cache-dir", "x" * 300],
         ]
     calls += [
         ["enumerate", "--g", "0", "--n", "5", "--k", "1", "--max-graphs", "3"],
@@ -141,6 +144,9 @@ def invocations(old: Path) -> list[list[str]]:
         ["intersect", "loop22.json", "loop23.json"],
         ["intersect", "d0.json", "d1.json", "d2.json"],
         ["flag-check", "--g", "2", "--n", "2", "--format", "dot"],
+        ["witness", "--g", "2", "--n", "2", "--format", "dot"],
+        ["verify", "--g", "2", "--n", "2", "--format", "dot"],
+        ["paper-suite", "--format", "dot"],
         ["flag-check", "--g", "1", "--n", "4", "--format", "json", "--cache-dir", "nested"],
         ["verify", "--g", "0", "--n", "5", "--max-graphs", "3"],
         ["verify", "--g", "0", "--n", "5", "--max-graphs", "3", "--skip-over-budget", "--format", "json"],
