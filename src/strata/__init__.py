@@ -10,11 +10,9 @@ from .complexes import (
     check_theorem,
     flag_verdict,
     high_genus,
-    is_flag,
     pinwheel,
     predicted_flag,
     universal_degeneration,
-    witness_for,
 )
 from .enumeration import (
     BudgetExceededError,
@@ -29,7 +27,6 @@ from .graphs import (
     canonical_key,
     chain,
     is_degeneration,
-    is_isomorphic,
     key_from_hex,
     key_to_hex,
     one_vertex,
@@ -39,11 +36,7 @@ from .lattice import (
     DivisorSet,
     IntersectionReport,
     divisor_set,
-    intersect_nonempty,
     intersection_components,
-    is_tree_type,
-    sigma,
-    sigma_inverse,
 )
 
 __version__ = "0.1.0"
@@ -69,21 +62,14 @@ __all__ = [
     "divisor_set",
     "flag_verdict",
     "high_genus",
-    "intersect_nonempty",
     "intersection_components",
     "is_degeneration",
-    "is_flag",
-    "is_isomorphic",
-    "is_tree_type",
     "key_from_hex",
     "key_to_hex",
     "one_vertex",
     "pinwheel",
     "predicted_flag",
-    "sigma",
-    "sigma_inverse",
     "smooth_point",
     "two_vertex_divisor",
     "universal_degeneration",
-    "witness_for",
 ]

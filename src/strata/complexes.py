@@ -10,10 +10,10 @@ closed by construction (and verified to be).
 Flag checking walks cliques of the 1-skeleton level by level: as long as
 every clique of the current size is a face, its extensions are enumerated;
 the first non-face clique encountered is a minimal witness (smallest size,
-then lexicographic in canonical-key order).  :func:`is_flag` tests cliques
-against a built complex; :func:`flag_verdict` (and :func:`check_theorem`)
-against the store's face map, one level at a time, so a small witness
-never forces a deep enumeration.
+then lexicographic in canonical-key order).  :func:`flag_verdict` (and
+:func:`check_theorem` through it) tests cliques against the store's face
+map, one level at a time, so a small witness never forces a deep
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .enumeration import BudgetExceededError, StratumStore
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
-from .lattice import DivisorSet, divisor_set, intersect_nonempty, intersection_components
 
 BCOMPLEX_SCHEMA = "bcomplex/1"
 
@@ -48,10 +47,6 @@ class BoundaryComplex:
         sizes = sorted(j for j, fs in self.faces.items() if fs)
         top = sizes[-1] if sizes else 0
         return tuple(len(self.faces.get(j, frozenset())) for j in range(1, top + 1))
-
-    def is_face(self, indices) -> bool:
-        face = frozenset(indices)
-        return face in self.faces.get(len(face), frozenset())
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.vertices]
@@ -202,58 +197,16 @@ def _flag_walk(
     return FlagVerdict(None)
 
 
-def is_flag(C: BoundaryComplex) -> FlagVerdict:
-    """Decide whether every clique of the 1-skeleton spans a face.
-
-    Raises ``ValueError`` when ``C`` was built too shallow for the verdict
-    to be determined (only possible for truncated complexes): below size 2,
-    where the 1-skeleton itself is missing, or below a clique the walk
-    reaches.
-    """
-    if C.max_dim < 2 <= min(C.signature.dim, len(C.vertices)):
-        raise ValueError(f"complex truncated at max_dim={C.max_dim}; it has no 1-skeleton")
-    index = {key: i for i, key in enumerate(C.vertices)}
-
-    def face_test(face: frozenset[bytes]) -> bool:
-        if len(face) > C.max_dim:
-            raise ValueError(
-                f"complex truncated at max_dim={C.max_dim}; "
-                f"flag check reached a clique of size {len(face)}"
-            )
-        return C.is_face(index[key] for key in face)
-
-    edges = (frozenset(C.vertices[i] for i in edge) for edge in C.faces.get(2, ()))
-    return _flag_walk(edges, face_test, C.signature.dim)
-
-
 def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
     """Flag verdict with lazily built face levels.
 
-    Equivalent to ``is_flag(boundary_complex(sig, store))`` but only
-    enumerates strata up to the level where the walk settles, which keeps
-    spaces with small witnesses cheap.
+    Enumerates strata only up to the level where the walk settles, which
+    keeps spaces with small witnesses cheap.
     """
     return _flag_walk(
         store.faces(sig, 2) if sig.dim >= 2 else (),
         lambda face: face in store.faces(sig, len(face)),
         sig.dim,
-    )
-
-
-def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessReport:
-    """Face verdict, components, and pairwise status for any divisor set."""
-    S = divisor_set(sig, keys, store)
-    report = intersection_components(S, store)
-    pairwise = all(
-        intersect_nonempty(DivisorSet(sig, (a, b)), store)
-        for i, a in enumerate(S.keys)
-        for b in S.keys[i + 1 :]
-    ) if len(S) > 1 else True
-    return WitnessReport(
-        clique=S.keys,
-        is_face=report.nonempty,
-        components=report.components,
-        pairwise_ok=pairwise,
     )
 
 

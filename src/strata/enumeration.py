@@ -33,6 +33,7 @@ except ImportError:
 from .graphs import (
     DualGraph,
     GnSignature,
+    _divisor_count,
     _divisor_table,
     _edge_sides,
     _root,
@@ -215,9 +216,17 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
             yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs, sides + (None,))
 
 
+def _check_divisor_budget(sig: GnSignature, max_graphs: int) -> None:
+    """Raise level 1's budget error from the divisor count, before the divisor table is built."""
+    if _divisor_count(sig.g, sig.n) > max_graphs:
+        raise BudgetExceededError(f"level {sig} k=1 exceeds budget of {max_graphs} graphs")
+
+
 def _generate_level(
     sig: GnSignature, k: int, prev: StratumSet, max_graphs: int
 ) -> StratumSet:
+    if k == 1:
+        _check_divisor_budget(sig, max_graphs)  # children() would build the table first
     found: dict[bytes, DualGraph] = {}
     for G in prev:
         for child in children(G):
@@ -262,7 +271,8 @@ class StratumStore:
         return self._level(sig, k)
 
     def divisors(self, sig: GnSignature) -> StratumSet:
-        """The boundary divisors of ``sig``, read from its divisor table."""
+        """The boundary divisors of ``sig``, read from its divisor table, within ``max_graphs``."""
+        _check_divisor_budget(sig, self.max_graphs)
         return StratumSet(sig, 1, _divisor_table(sig.g, sig.n)[0])
 
     def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:

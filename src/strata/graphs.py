@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -83,8 +84,8 @@ class DualGraph:
     mark ``m``.  Edge order is preserved as given so that ids stay meaningful
     across smoothing; exports sort edges canonically.
 
-    Equality is positional (same genera, same edge sequence, same legs); use
-    :func:`is_isomorphic` or :func:`canonical_key` for isomorphism.
+    Equality is positional (same genera, same edge sequence, same legs);
+    isomorphic graphs are those with equal :func:`canonical_key`.
     """
 
     genus: tuple[int, ...]
@@ -174,9 +175,6 @@ class DualGraph:
             val[v] += 1
         return all(g >= 2 or val[v] >= (1 if g else 3) for v, g in enumerate(self.genus))
 
-    def has_loop(self) -> bool:
-        return any(i == j for i, j in self.edges)
-
     # -- smoothing --------------------------------------------------------
 
     def smooth_set(self, edge_ids: Iterable[int]) -> DualGraph:
@@ -211,10 +209,6 @@ class DualGraph:
         )
         new_legs = tuple(new_id[v] for v in self.legs)
         return DualGraph(tuple(new_genus), new_edges, new_legs)
-
-    def smooth(self, edge_id: int) -> DualGraph:
-        """Smooth a single edge (merge endpoints, or turn a loop into genus)."""
-        return self.smooth_set((edge_id,))
 
     def _delta_keys(self) -> list[bytes]:
         """Divisor key of each edge's one-edge smoothing, in edge order.
@@ -463,24 +457,29 @@ def _divisor_table(
     return MappingProxyType(dict(sorted(graphs.items()))), keys, {d: d for d in keys}
 
 
+def _divisor_count(g: int, n: int) -> int:
+    """The number of boundary divisors of (g, n), without building :func:`_divisor_table`.
+
+    The loop divisor (g >= 1), then the splits counted by the genus ``a``
+    and mark count ``s`` of one side.  A side with its edge end is stable
+    when ``a >= 1`` or ``s >= 2``.  Each split is counted from both of its
+    sides, except the n = 0, a = g/2 split, which is its own swap.
+    """
+    ordered = sum(
+        comb(n, s)
+        for a in range(g + 1)
+        for s in range(n + 1)
+        if (a >= 1 or s >= 2) and (g - a >= 1 or n - s >= 2)
+    )
+    return (g >= 1) + (ordered + (n == 0 and g % 2 == 0)) // 2
+
+
 def key_to_hex(key: bytes) -> str:
     return key.hex()
 
 
 def key_from_hex(text: str) -> bytes:
     return bytes.fromhex(text)
-
-
-def is_isomorphic(G: DualGraph, H: DualGraph) -> bool:
-    """Isomorphism fixing legs pointwise, permuting vertices and edges."""
-    if (
-        G.num_vertices != H.num_vertices
-        or G.num_edges != H.num_edges
-        or G.n != H.n
-        or sorted(G.genus) != sorted(H.genus)
-    ):
-        return False
-    return canonical_key(G) == canonical_key(H)
 
 
 def is_degeneration(G: DualGraph, H: DualGraph) -> bool:

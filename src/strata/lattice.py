@@ -1,4 +1,4 @@
-"""Divisor intersections, the tree-type sublattice, and the genus-1 reduction.
+"""Divisor sets and their intersections.
 
 A set of k distinct boundary divisors meets in a (possibly empty) union of
 codimension-k strata; because the boundary has normal crossings, those
@@ -8,10 +8,6 @@ is taken as an assumption, so an intersection is a lookup in the face map
 (:meth:`StratumStore.faces`) of the store the caller passes.  The test
 suite cross-checks it against a superset-style search over all edge counts
 and against a plain scan of level k.
-
-The genus-1 reduction trades the unique genus-1 vertex of a tree-type graph
-for a genus-0 vertex carrying two fresh marks, giving a bijection onto the
-genus-0 strata that keep those two marks together.
 """
 
 from __future__ import annotations
@@ -102,50 +98,3 @@ def intersection_components(S: DivisorSet, store: StratumStore) -> IntersectionR
     if k > sig.dim:
         raise ValueError(f"{k} divisors exceed the dimension {sig.dim} of {sig}")
     return IntersectionReport(S, store.faces(sig, k).get(frozenset(S.keys), ()))
-
-
-def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:
-    return intersection_components(S, store).nonempty
-
-
-# -- tree type and the genus-1 reduction -------------------------------------
-
-
-def is_tree_type(G: DualGraph) -> bool:
-    """True when ``G`` has no nonseparating edges, i.e. is a tree."""
-    return G.num_edges == G.num_vertices - 1
-
-
-def sigma(G: DualGraph) -> DualGraph:
-    """Replace the genus-1 vertex of a tree-type genus-1 graph by a marked one.
-
-    The vertex's genus drops to 0 and two new legs n+1, n+2 land on it; the
-    result is a stable genus-0 graph with the same edge structure.
-    """
-    if G.total_genus != 1:
-        raise ValueError("sigma needs a graph of total genus 1")
-    if not is_tree_type(G):
-        raise ValueError("sigma needs a tree-type graph")
-    v = G.genus.index(1)
-    genus = list(G.genus)
-    genus[v] = 0
-    legs = G.legs + (v, v)
-    return DualGraph(tuple(genus), G.edges, legs)
-
-
-def sigma_inverse(H: DualGraph) -> DualGraph:
-    """Undo :func:`sigma`: strip the top two marks and restore genus 1.
-
-    ``H`` must have total genus 0 with its two highest marks on a common
-    vertex.
-    """
-    if H.total_genus != 0:
-        raise ValueError("sigma_inverse needs a graph of total genus 0")
-    if H.n < 2:
-        raise ValueError("sigma_inverse needs at least two marks")
-    v = H.legs[-1]
-    if H.legs[-2] != v:
-        raise ValueError("the two highest marks must share a vertex")
-    genus = list(H.genus)
-    genus[v] += 1
-    return DualGraph(tuple(genus), H.edges, H.legs[:-2])

@@ -11,6 +11,13 @@ off the graph.  The generation oracle builds every child of every parent,
 with no least-label rejection, and keys each one.  The divisor oracle keys
 every stable one-edge candidate graph instead of keying by description.
 The facet oracle tests every face against every face one size up.
+
+The rest are test-side forms of things the library does one way:
+isomorphism is ``canonical_key`` equality, smoothing one edge is
+``smooth_set`` of one edge, nonemptiness is ``intersection_components``,
+and :func:`is_flag` runs the library's clique walk on a built complex
+where ``flag_verdict`` runs it on the store's face map.  The genus-1
+reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
 """
 
 from __future__ import annotations
@@ -18,12 +25,18 @@ from __future__ import annotations
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
 from strata import (
+    BoundaryComplex,
     DivisorSet,
     DualGraph,
+    FlagVerdict,
     GnSignature,
     StratumStore,
+    WitnessReport,
     canonical_key,
+    divisor_set,
+    intersection_components,
 )
+from strata.complexes import _flag_walk
 from strata.graphs import divisor_graph
 
 
@@ -39,6 +52,20 @@ def relabel(G: DualGraph, perm: tuple[int, ...]) -> DualGraph:
     edges = tuple((perm[i], perm[j]) for i, j in G.edges)
     legs = tuple(perm[v] for v in G.legs)
     return DualGraph(tuple(genus), edges, legs)
+
+
+def is_isomorphic(G: DualGraph, H: DualGraph) -> bool:
+    """Isomorphism fixing legs pointwise, permuting vertices and edges."""
+    return canonical_key(G) == canonical_key(H)
+
+
+def has_loop(G: DualGraph) -> bool:
+    return any(i == j for i, j in G.edges)
+
+
+def smooth(G: DualGraph, edge_id: int) -> DualGraph:
+    """Smooth a single edge (merge endpoints, or turn a loop into genus)."""
+    return G.smooth_set((edge_id,))
 
 
 def delta(G: DualGraph, edge_id: int) -> DualGraph:
@@ -351,3 +378,95 @@ def oracle_facets(faces) -> tuple[tuple[int, ...], ...]:
             if not any(face < other for other in bigger):
                 out.append(tuple(sorted(face)))
     return tuple(sorted(out))
+
+
+def is_face(C: BoundaryComplex, indices) -> bool:
+    face = frozenset(indices)
+    return face in C.faces.get(len(face), frozenset())
+
+
+def is_flag(C: BoundaryComplex) -> FlagVerdict:
+    """The eager twin of ``flag_verdict``: the same clique walk on a built complex.
+
+    Raises ``ValueError`` when ``C`` was built too shallow for the verdict
+    to be determined (only possible for truncated complexes): below size 2,
+    where the 1-skeleton itself is missing, or below a clique the walk
+    reaches.
+    """
+    if C.max_dim < 2 <= min(C.signature.dim, len(C.vertices)):
+        raise ValueError(f"complex truncated at max_dim={C.max_dim}; it has no 1-skeleton")
+    index = {key: i for i, key in enumerate(C.vertices)}
+
+    def face_test(face: frozenset[bytes]) -> bool:
+        if len(face) > C.max_dim:
+            raise ValueError(
+                f"complex truncated at max_dim={C.max_dim}; "
+                f"flag check reached a clique of size {len(face)}"
+            )
+        return is_face(C, (index[key] for key in face))
+
+    edges = (frozenset(C.vertices[i] for i in edge) for edge in C.faces.get(2, ()))
+    return _flag_walk(edges, face_test, C.signature.dim)
+
+
+def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:
+    return intersection_components(S, store).nonempty
+
+
+def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessReport:
+    """Face verdict, components, and pairwise status for any divisor set."""
+    S = divisor_set(sig, keys, store)
+    report = intersection_components(S, store)
+    pairwise = all(
+        intersect_nonempty(DivisorSet(sig, (a, b)), store)
+        for i, a in enumerate(S.keys)
+        for b in S.keys[i + 1 :]
+    )
+    return WitnessReport(
+        clique=S.keys,
+        is_face=report.nonempty,
+        components=report.components,
+        pairwise_ok=pairwise,
+    )
+
+
+# -- the genus-1 reduction ----------------------------------------------------
+
+
+def is_tree_type(G: DualGraph) -> bool:
+    """True when ``G`` has no nonseparating edges, i.e. is a tree."""
+    return G.num_edges == G.num_vertices - 1
+
+
+def sigma(G: DualGraph) -> DualGraph:
+    """Replace the genus-1 vertex of a tree-type genus-1 graph by a marked one.
+
+    The vertex's genus drops to 0 and two new legs n+1, n+2 land on it; the
+    result is a stable genus-0 graph with the same edge structure.
+    """
+    if G.total_genus != 1:
+        raise ValueError("sigma needs a graph of total genus 1")
+    if not is_tree_type(G):
+        raise ValueError("sigma needs a tree-type graph")
+    v = G.genus.index(1)
+    genus = list(G.genus)
+    genus[v] = 0
+    return DualGraph(tuple(genus), G.edges, G.legs + (v, v))
+
+
+def sigma_inverse(H: DualGraph) -> DualGraph:
+    """Undo :func:`sigma`: strip the top two marks and restore genus 1.
+
+    ``H`` must have total genus 0 with its two highest marks on a common
+    vertex.
+    """
+    if H.total_genus != 0:
+        raise ValueError("sigma_inverse needs a graph of total genus 0")
+    if H.n < 2:
+        raise ValueError("sigma_inverse needs at least two marks")
+    v = H.legs[-1]
+    if H.legs[-2] != v:
+        raise ValueError("the two highest marks must share a vertex")
+    genus = list(H.genus)
+    genus[v] += 1
+    return DualGraph(tuple(genus), H.edges, H.legs[:-2])

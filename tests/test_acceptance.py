@@ -25,11 +25,8 @@ from strata import (
     check_theorem,
     flag_verdict,
     high_genus,
-    intersect_nonempty,
     intersection_components,
     is_degeneration,
-    is_flag,
-    is_isomorphic,
     divisor_set,
     one_vertex,
     pinwheel,
@@ -37,7 +34,15 @@ from strata import (
     universal_degeneration,
 )
 import test_properties as props
-from helpers import oracle_canon, oracle_contract, oracle_strata, raw
+from helpers import (
+    intersect_nonempty,
+    is_flag,
+    is_isomorphic,
+    oracle_canon,
+    oracle_contract,
+    oracle_strata,
+    raw,
+)
 from test_completeness import SMALL_SIGNATURES
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +69,27 @@ def test_enumerate_budget_overflow(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [
+        ("text", "error: level (0,18) k=1 exceeds budget of 10 graphs\n"),
+        (
+            "json",
+            '{"error":{"code":"budget","message":"level (0,18) k=1 exceeds budget of 10 graphs"}}\n',
+        ),
+    ],
+)
+def test_complex_divisor_budget_fails_fast(capsys, fmt, expected):
+    """(0,18) has 131,053 divisors; the budget is checked before any is built."""
+    start = time.perf_counter()
+    result = run(
+        capsys, "complex", "--g", "0", "--n", "18", "--max-graphs", "10", "--max-dim", "1",
+        "--format", fmt,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result == (3, "", expected)
 
 
 def test_enumerate_deterministic_output(capsys):

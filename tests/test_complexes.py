@@ -14,20 +14,16 @@ from strata import (
     check_theorem,
     flag_verdict,
     high_genus,
-    intersect_nonempty,
     intersection_components,
     is_degeneration,
-    is_flag,
-    is_isomorphic,
     one_vertex,
     pinwheel,
     predicted_flag,
     two_vertex_divisor,
     universal_degeneration,
-    witness_for,
 )
 from strata.complexes import _verify_downward_closed
-from helpers import oracle_facets
+from helpers import intersect_nonempty, is_face, is_flag, is_isomorphic, oracle_facets, witness_for
 from test_acceptance import GRID
 
 
@@ -99,7 +95,7 @@ def test_faces_downward_closed_explicitly(store):
                 continue
             for face in faces:
                 for v in face:
-                    assert C.is_face(face - {v})
+                    assert is_face(C, face - {v})
 
 
 def _closure_map(*faces):
@@ -228,7 +224,7 @@ def test_witness_is_lexicographically_minimal(store):
         (i, j, k)
         for i, j, k in combinations(range(len(C.vertices)), 3)
         if j in adj[i] and k in adj[i] and k in adj[j]
-        and not C.is_face({i, j, k})
+        and not is_face(C, {i, j, k})
     )
     assert nonface_triples
     expected = tuple(C.vertices[t] for t in nonface_triples[0])

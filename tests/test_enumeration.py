@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from hashlib import sha256
 from math import comb, prod
 
@@ -19,7 +20,13 @@ from strata import (
 )
 from strata.enumeration import _split_moves, _vertex_tables, children
 from strata.graphs import InvalidSignatureError, _divisor_table, _edge_sides, divisor_graph
-from helpers import oracle_divisors, oracle_level, oracle_loop_children, oracle_split_children
+from helpers import (
+    oracle_divisors,
+    oracle_level,
+    oracle_loop_children,
+    oracle_split_children,
+    smooth,
+)
 from test_acceptance import GRID
 
 # Stratum counts frozen from the exhaustive filter over all multigraphs
@@ -127,7 +134,7 @@ def test_smoothing_closure(store):
             below = store.level(sig, k - 1)
             for G in store.level(sig, k):
                 for e in range(G.num_edges):
-                    assert canonical_key(G.smooth(e)) in below
+                    assert canonical_key(smooth(G, e)) in below
 
 
 def test_smooth_point_shape():
@@ -149,6 +156,27 @@ def test_budget_overflow_is_an_error():
     tight = StratumStore(max_graphs=3)
     with pytest.raises(BudgetExceededError):
         tight.level(GnSignature(0, 5), 1)
+
+
+def test_divisor_budget_is_checked_before_the_table_is_built():
+    """(0,16) has 32,751 divisors; a small budget fails at once, not after building them."""
+    message = r"^level \(0,16\) k=1 exceeds budget of 10 graphs$"
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=message):
+        StratumStore(max_graphs=10).divisors(GnSignature(0, 16))
+    with pytest.raises(BudgetExceededError, match=message):
+        StratumStore(max_graphs=10).level(GnSignature(0, 16), 1)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("g,n", GRID)
+def test_divisor_budget_is_the_divisor_count(g, n):
+    sig = GnSignature(g, n)
+    count = len(_divisor_table(g, n)[0])
+    assert len(StratumStore(max_graphs=count).divisors(sig)) == count
+    if count > 1:  # a budget must be positive
+        with pytest.raises(BudgetExceededError, match=f"budget of {count - 1} graphs$"):
+            StratumStore(max_graphs=count - 1).divisors(sig)
 
 
 @pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (0, 7), (3, 2)])

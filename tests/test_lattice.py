@@ -11,17 +11,22 @@ from strata import (
     canonical_key,
     chain,
     divisor_set,
-    intersect_nonempty,
     intersection_components,
     is_degeneration,
-    is_isomorphic,
-    is_tree_type,
     one_vertex,
-    sigma,
-    sigma_inverse,
     two_vertex_divisor,
 )
-from helpers import intersect_nonempty_superset, level_supports, scan_components
+from helpers import (
+    has_loop,
+    intersect_nonempty,
+    intersect_nonempty_superset,
+    is_isomorphic,
+    is_tree_type,
+    level_supports,
+    scan_components,
+    sigma,
+    sigma_inverse,
+)
 
 
 # -- tree type -----------------------------------------------------------------
@@ -42,7 +47,7 @@ def test_tree_type_matches_bridge_oracle(store):
                 every_edge_bridges = all(
                     _disconnects(G, e) for e in range(G.num_edges)
                 )
-                assert is_tree_type(G) == (not G.has_loop() and every_edge_bridges)
+                assert is_tree_type(G) == (not has_loop(G) and every_edge_bridges)
 
 
 def _disconnects(G: DualGraph, e: int) -> bool:

@@ -18,8 +18,9 @@ the first four divisors, on the cells below; ``paper-suite`` in text and json;
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
 ``flag-check`` on a cache directory that cannot be written and on one whose
-name is too long to read (``ENAMETOOLONG``), and ``--format dot`` on each
-command that does not render graphs.
+name is too long to read (``ENAMETOOLONG``), ``complex --max-dim 1`` with a
+budget below the divisor count, and ``--format dot`` on each command that
+does not render graphs.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -152,6 +153,11 @@ def invocations(old: Path) -> list[list[str]]:
         ["verify", "--g", "0", "--n", "5", "--max-graphs", "3", "--skip-over-budget", "--format", "json"],
         ["verify", "--g", "0:1", "--n", "0:4", "--format", "json"],
         ["complex", "--g", "2", "--n", "3", "--max-dim", "9", "--format", "json"],
+    ]
+    # A budget below the divisor count, on the one command that reads no level.
+    calls += [
+        ["complex", "--g", "0", "--n", "6", "--max-dim", "1", "--max-graphs", "5", "--format", f]
+        for f in ("text", "json")
     ]
     for argv in (
         ["enumerate", "--g", "1", "--n", "1", "--k", "1"],
