@@ -5,7 +5,6 @@ from .complexes import (
     Family,
     FlagVerdict,
     TheoremVerdict,
-    WitnessReport,
     boundary_complex,
     check_theorem,
     flag_verdict,
@@ -54,7 +53,6 @@ __all__ = [
     "StratumSet",
     "StratumStore",
     "TheoremVerdict",
-    "WitnessReport",
     "boundary_complex",
     "canonical_key",
     "chain",

@@ -67,6 +67,19 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _witness_json(witness: tuple[bytes, ...] | None) -> dict | None:
+    if witness is None:
+        return None
+    # The last three fields are the same for every witness (a non-face clique);
+    # they are kept for byte-identical JSON.
+    return {
+        "clique": [key_to_hex(k) for k in witness],
+        "is_face": False,
+        "components": [],
+        "pairwise_ok": True,
+    }
+
+
 def _graph_dot(G: DualGraph, name: str) -> str:
     lines = [f'graph "{name}" {{']
     for v, g in enumerate(G.genus):
@@ -164,13 +177,13 @@ def cmd_flag_check(args: argparse.Namespace, store: StratumStore) -> int:
             "g": sig.g,
             "n": sig.n,
             "is_flag": verdict.is_flag,
-            "witness": verdict.witness.to_json_obj() if verdict.witness else None,
+            "witness": _witness_json(verdict.witness),
         }
         print(_dumps(obj))
     else:
         print(f"{sig}: {'flag' if verdict.is_flag else 'not a flag complex'}")
         if verdict.witness:
-            for key in verdict.witness.clique:
+            for key in verdict.witness:
                 print(f"  witness divisor {key_to_hex(key)}")
     return EXIT_OK if verdict.is_flag else EXIT_NEGATIVE
 
@@ -179,15 +192,13 @@ def cmd_witness(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
     witness = flag_verdict(sig, store).witness
     if args.format == "json":
-        print(_dumps(
-            {"g": sig.g, "n": sig.n, "witness": witness.to_json_obj() if witness else None}
-        ))
+        print(_dumps({"g": sig.g, "n": sig.n, "witness": _witness_json(witness)}))
     elif witness is None:
         print(f"{sig} is a flag complex; no witness")
     else:
         table = store.divisors(sig)
-        print(f"minimal non-face clique of size {len(witness.clique)} in {sig}:")
-        for key in witness.clique:
+        print(f"minimal non-face clique of size {len(witness)} in {sig}:")
+        for key in witness:
             print(f"  {key_to_hex(key)}  {table.graphs[key].describe()}")
     return EXIT_NEGATIVE if witness is None else EXIT_OK
 
@@ -202,7 +213,6 @@ def _parse_range(text: str) -> range:
 
 def cmd_verify(args: argparse.Namespace, store: StratumStore) -> int:
     rows = []
-    budget_hit = False
     for g in _parse_range(args.g):
         for n in _parse_range(args.n):
             try:
@@ -211,23 +221,21 @@ def cmd_verify(args: argparse.Namespace, store: StratumStore) -> int:
                 continue
             start = time.perf_counter()
             verdict = check_theorem(sig, store)
-            elapsed = time.perf_counter() - start
-            budget_hit = budget_hit or verdict.skipped
-            rows.append((sig, verdict, elapsed))
+            rows.append((verdict, time.perf_counter() - start))
     if not rows:
         raise ValueError(f"--g {args.g} --n {args.n} names no existing signature")
     if args.format == "json":
         out = []
-        for sig, verdict, elapsed in rows:
+        for verdict, elapsed in rows:
             out.append(
                 {
-                    "g": sig.g,
-                    "n": sig.n,
+                    "g": verdict.signature.g,
+                    "n": verdict.signature.n,
                     "predicted": verdict.predicted,
                     "computed": verdict.computed,
                     "agree": verdict.agree,
                     "skipped": verdict.skipped,
-                    "witness": [key_to_hex(k) for k in verdict.witness.clique]
+                    "witness": [key_to_hex(k) for k in verdict.witness]
                     if verdict.witness
                     else None,
                     "seconds": round(elapsed, 3),
@@ -236,21 +244,17 @@ def cmd_verify(args: argparse.Namespace, store: StratumStore) -> int:
         print(_dumps(out))
     else:
         print(f"{'sig':>8} {'predicted':>9} {'computed':>9} {'agree':>6} {'time':>8}  witness")
-        for sig, verdict, elapsed in rows:
+        for verdict, elapsed in rows:
             computed = "skipped" if verdict.skipped else str(verdict.computed)
             agree = "-" if verdict.agree is None else str(verdict.agree)
-            witness = (
-                ",".join(key_to_hex(k)[:12] for k in verdict.witness.clique)
-                if verdict.witness
-                else ""
-            )
+            witness = ",".join(key_to_hex(k)[:12] for k in verdict.witness or ())
             print(
-                f"{str(sig):>8} {str(verdict.predicted):>9} {computed:>9}"
+                f"{str(verdict.signature):>8} {str(verdict.predicted):>9} {computed:>9}"
                 f" {agree:>6} {elapsed:7.2f}s  {witness}"
             )
-    if budget_hit and not args.skip_over_budget:
+    if any(verdict.skipped for verdict, _ in rows) and not args.skip_over_budget:
         return EXIT_BUDGET
-    if any(verdict.agree is False for _, verdict, _ in rows):
+    if any(verdict.agree is False for verdict, _ in rows):
         return EXIT_NEGATIVE
     return EXIT_OK
 

@@ -10,10 +10,12 @@ closed by construction (and verified to be).
 Flag checking walks cliques of the 1-skeleton level by level: as long as
 every clique of the current size is a face, its extensions are enumerated;
 the first non-face clique encountered is a minimal witness (smallest size,
-then lexicographic in canonical-key order).  :func:`flag_verdict` (and
-:func:`check_theorem` through it) tests cliques against the store's face
-map, one level at a time, so a small witness never forces a deep
-enumeration.
+then lexicographic in canonical-key order).  A verdict's witness is that
+clique as a sorted tuple of divisor keys, ``None`` for a flag complex: its
+divisors meet pairwise, being a clique, but not all together, being no
+face.  :func:`flag_verdict` (and :func:`check_theorem` through it) tests
+cliques against the store's face map, one level at a time, so a small
+witness never forces a deep enumeration.
 """
 
 from __future__ import annotations
@@ -131,26 +133,8 @@ def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> N
 
 
 @dataclass(frozen=True)
-class WitnessReport:
-    """A divisor clique with its face verdict and realizing strata."""
-
-    clique: tuple[bytes, ...]
-    is_face: bool
-    components: tuple[DualGraph, ...]
-    pairwise_ok: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "clique": [key_to_hex(k) for k in self.clique],
-            "is_face": self.is_face,
-            "components": [G.to_json_obj() for G in self.components],
-            "pairwise_ok": self.pairwise_ok,
-        }
-
-
-@dataclass(frozen=True)
 class FlagVerdict:
-    witness: WitnessReport | None
+    witness: tuple[bytes, ...] | None
 
     @property
     def is_flag(self) -> bool:
@@ -190,9 +174,7 @@ def _flag_walk(
                 else:
                     nonfaces.append(nc)
         if nonfaces:
-            return FlagVerdict(
-                WitnessReport(clique=min(nonfaces), is_face=False, components=(), pairwise_ok=True)
-            )
+            return FlagVerdict(min(nonfaces))
         cliques = next_level
     return FlagVerdict(None)
 
@@ -223,7 +205,7 @@ class TheoremVerdict:
     signature: GnSignature
     predicted: bool
     computed: bool | None
-    witness: WitnessReport | None
+    witness: tuple[bytes, ...] | None
 
     @property
     def skipped(self) -> bool:

@@ -460,17 +460,14 @@ def _divisor_table(
 def _divisor_count(g: int, n: int) -> int:
     """The number of boundary divisors of (g, n), without building :func:`_divisor_table`.
 
-    The loop divisor (g >= 1), then the splits counted by the genus ``a``
-    and mark count ``s`` of one side.  A side with its edge end is stable
-    when ``a >= 1`` or ``s >= 2``.  Each split is counted from both of its
-    sides, except the n = 0, a = g/2 split, which is its own swap.
+    The loop divisor (g >= 1), then the splits counted by the mark count
+    ``s`` of one side and the genus ``a`` in 0..g of that side.  The side
+    is unstable at ``a = 0`` if ``s < 2``, its complement at ``a = g`` if
+    ``n - s < 2``; at g = 0 the two never hold together, as n >= 3.  Each
+    split is counted from both of its sides, except the n = 0, a = g/2
+    split, which is its own swap.
     """
-    ordered = sum(
-        comb(n, s)
-        for a in range(g + 1)
-        for s in range(n + 1)
-        if (a >= 1 or s >= 2) and (g - a >= 1 or n - s >= 2)
-    )
+    ordered = sum(comb(n, s) * (g + 1 - (s < 2) - (n - s < 2)) for s in range(n + 1))
     return (g >= 1) + (ordered + (n == 0 and g % 2 == 0)) // 2
 
 

@@ -52,6 +52,8 @@ def divisor_set(sig: GnSignature, items, store: StratumStore) -> DivisorSet:
                 raise ValueError(
                     f"graph of signature {item.signature} mixed into {sig}"
                 )
+            if item.num_edges >= 2:  # no divisor; keying a symmetric one is slow
+                raise ValueError(f"{item.describe()} is not a divisor of {sig}")
             key = canonical_key(item)
         elif isinstance(item, bytes):
             key = item

@@ -23,6 +23,7 @@ reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
 from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 from strata import (
     BoundaryComplex,
@@ -31,7 +32,6 @@ from strata import (
     FlagVerdict,
     GnSignature,
     StratumStore,
-    WitnessReport,
     canonical_key,
     divisor_set,
     intersection_components,
@@ -413,7 +413,14 @@ def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:
     return intersection_components(S, store).nonempty
 
 
-def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessReport:
+class WitnessProbe(NamedTuple):
+    clique: tuple[bytes, ...]
+    is_face: bool
+    components: tuple[DualGraph, ...]
+    pairwise_ok: bool
+
+
+def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessProbe:
     """Face verdict, components, and pairwise status for any divisor set."""
     S = divisor_set(sig, keys, store)
     report = intersection_components(S, store)
@@ -422,7 +429,7 @@ def witness_for(sig: GnSignature, keys, store: StratumStore) -> WitnessReport:
         for i, a in enumerate(S.keys)
         for b in S.keys[i + 1 :]
     )
-    return WitnessReport(
+    return WitnessProbe(
         clique=S.keys,
         is_face=report.nonempty,
         components=report.components,

@@ -261,8 +261,8 @@ def test_criterion_7_classification_grid(store):
         assert verdict.agree is True, f"disagreement at {sig}"
         if not verdict.computed:
             witness = verdict.witness
-            assert witness is not None and len(witness.clique) >= 3
-            for a, b in combinations(witness.clique, 2):
+            assert witness is not None and len(witness) >= 3
+            for a, b in combinations(witness, 2):
                 assert intersect_nonempty(DivisorSet(sig, (a, b)), store)
     elapsed = time.perf_counter() - start
     ok = not skipped and elapsed < 900.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -203,6 +204,26 @@ def test_intersect_rejects_non_divisor(capsys):
     assert "not a divisor" in err
 
 
+def test_intersect_rejects_star_file_fast(capsys, tmp_path):
+    """The 9-leaf star is no divisor, and is refused without keying it."""
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({
+        "schema": "dualgraph/1",
+        "genus": [0] + [1] * 9,
+        "edges": [[0, v] for v in range(1, 10)],
+        "legs": {},
+    }))
+    start = time.perf_counter()
+    result = run(capsys, "intersect", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert result == (
+        2,
+        "",
+        "error: g=[0,1,1,1,1,1,1,1,1,1] E=[0-1,0-2,0-3,0-4,0-5,0-6,0-7,0-8,0-9] legs={}"
+        " is not a divisor of (9,0)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "graph",
     [
@@ -272,6 +293,35 @@ def test_flag_check_negative_text_lists_witness(capsys):
     assert lines[0] == "(2,3): not a flag complex"
     assert len(lines) == 4
     assert all(line.startswith("  witness divisor ") for line in lines[1:])
+
+
+WITNESS_23 = (
+    '["67312c313b65302d313b6c302c312c31","67312c313b65302d313b6c312c302c31",'
+    '"67312c313b65302d313b6c312c312c30"]'
+)
+WITNESS_23_JSON = (
+    '{"clique":' + WITNESS_23 + ',"components":[],"is_face":false,"pairwise_ok":true}'
+)
+
+
+@pytest.mark.parametrize(
+    "command,expected_code,expected",
+    [
+        ("flag-check", 1, '{"g":2,"is_flag":false,"n":3,"witness":' + WITNESS_23_JSON + "}"),
+        ("witness", 0, '{"g":2,"n":3,"witness":' + WITNESS_23_JSON + "}"),
+        (
+            "verify",
+            0,
+            '[{"agree":true,"computed":false,"g":2,"n":3,"predicted":false,'
+            '"seconds":T,"skipped":false,"witness":' + WITNESS_23 + "}]",
+        ),
+    ],
+    ids=["flag-check", "witness", "verify"],
+)
+def test_witness_json_bytes_at_2_3(capsys, command, expected_code, expected):
+    code, out, err = run(capsys, command, "--g", "2", "--n", "3", "--format", "json")
+    out = re.sub(r'"seconds":[0-9.]+', '"seconds":T', out)
+    assert (code, out, err) == (expected_code, expected + "\n", "")
 
 
 def test_witness_found(capsys):

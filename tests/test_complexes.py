@@ -197,10 +197,24 @@ def test_flag_witness_at_2_3(store):
     assert not verdict.is_flag
     witness = verdict.witness
     assert witness is not None
-    assert len(witness.clique) == 3
-    assert witness.pairwise_ok and not witness.is_face
+    assert len(witness) == 3
     expected = {canonical_key(D) for D in pinwheel(3).divisors.values()}
-    assert set(witness.clique) == expected
+    assert set(witness) == expected
+
+
+def test_witness_meets_pairwise_but_not_all_together(store):
+    """On every non-flag cell of the acceptance grid the witness is a non-face clique."""
+    cells = 0
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        witness = flag_verdict(sig, store).witness
+        if witness is None:
+            continue
+        cells += 1
+        for a, b in combinations(witness, 2):
+            assert intersect_nonempty(DivisorSet(sig, (a, b)), store)
+        assert not intersect_nonempty(DivisorSet(sig, witness), store)
+    assert cells == sum(not predicted_flag(GnSignature(g, n)) for g, n in GRID)
 
 
 def test_eager_and_lazy_flag_checks_agree(store):
@@ -209,8 +223,7 @@ def test_eager_and_lazy_flag_checks_agree(store):
         eager = is_flag(boundary_complex(sig, store))
         lazy = flag_verdict(sig, store)
         assert eager.is_flag == lazy.is_flag
-        if eager.witness or lazy.witness:
-            assert eager.witness.clique == lazy.witness.clique
+        assert eager.witness == lazy.witness
 
 
 def test_witness_is_lexicographically_minimal(store):
@@ -228,7 +241,7 @@ def test_witness_is_lexicographically_minimal(store):
     )
     assert nonface_triples
     expected = tuple(C.vertices[t] for t in nonface_triples[0])
-    assert verdict.witness.clique == expected
+    assert verdict.witness == expected
 
 
 def test_witness_for_probe(store):
@@ -324,7 +337,7 @@ def test_check_theorem_cells(store):
         assert verdict.agree is True
         if not expected:
             assert verdict.witness is not None
-            assert len(verdict.witness.clique) >= 3
+            assert len(verdict.witness) >= 3
 
 
 def test_check_theorem_budget_skip():

@@ -169,6 +169,13 @@ def test_divisor_budget_is_checked_before_the_table_is_built():
     assert time.perf_counter() - start < 1.0
 
 
+def test_divisor_budget_is_counted_without_a_loop_over_the_genus():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^level \(10000000,0\) k=1 exceeds budget"):
+        StratumStore(max_graphs=10).divisors(GnSignature(10**7, 0))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("g,n", GRID)
 def test_divisor_budget_is_the_divisor_count(g, n):
     sig = GnSignature(g, n)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
@@ -86,6 +87,20 @@ def test_divisor_set_rejects_duplicates(store):
 def test_divisor_set_rejects_non_divisors(store):
     with pytest.raises(ValueError, match="not a divisor"):
         divisor_set(GnSignature(2, 2), [one_vertex(2, 2)], store)
+
+
+def star(leaves: int) -> DualGraph:
+    """A genus-0 centre joined to ``leaves`` genus-1 vertices: (leaves, 0), leaves edges."""
+    return DualGraph((0,) + (1,) * leaves, tuple((0, v) for v in range(1, leaves + 1)), ())
+
+
+def test_divisor_set_rejects_multi_edge_graph_before_keying(store):
+    """Keying the 9-leaf star searches its 9! leaf orders; its edge count rules it out first."""
+    G = star(9)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^g=\[0,1,1,1,1,1,1,1,1,1\] .* is not a divisor of \(9,0\)$"):
+        divisor_set(GnSignature(9, 0), [G], store)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_divisor_set_rejects_mixed_signatures(store):

@@ -17,10 +17,11 @@ the first four divisors, on the cells below; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
-``flag-check`` on a cache directory that cannot be written and on one whose
-name is too long to read (``ENAMETOOLONG``), ``complex --max-dim 1`` with a
-budget below the divisor count, and ``--format dot`` on each command that
-does not render graphs.
+``intersect`` on a multi-edge graph that is no divisor (a genus-0 centre
+with eight genus-1 leaves), ``flag-check`` on a cache directory that cannot
+be written and on one whose name is too long to read (``ENAMETOOLONG``),
+``complex --max-dim 1`` with a budget below the divisor count, and
+``--format dot`` on each command that does not render graphs.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -63,6 +64,8 @@ FIXTURES = {
     "no_edges.json": json.dumps({"schema": "dualgraph/1", "genus": [1], "legs": {"1": 0, "2": 0}}),
     "bad_genus.json": json.dumps({"schema": "dualgraph/1", "genus": 5, "edges": [], "legs": {}}),
     "deep.json": "[" * 200_000,
+    # A genus-0 centre with eight genus-1 leaves: no divisor, and slow to key.
+    "star8.json": _graph([0] + [1] * 8, [[0, v] for v in range(1, 9)], []),
     "nested/g1n4/k1.json": "[" * 200_000,
     # Cache dirs that cannot be written: a file where a signature's directory
     # goes, and a directory where a level file goes.
@@ -128,6 +131,7 @@ def invocations(old: Path) -> list[list[str]]:
             ["intersect", "--format", f, "loop22.json", "no_edges.json"],
             ["intersect", "--format", f, "loop22.json", "bad_genus.json"],
             ["intersect", "--format", f, "deep.json"],
+            ["intersect", "--format", f, "star8.json"],
             ["intersect", "--g", "7", "--format", f, "d0.json", "d1.json"],
             ["intersect", "--n", "9", "--format", f, "d0.json", "d1.json"],
             ["verify", "--g", "3:1", "--n", "2", "--format", f],
