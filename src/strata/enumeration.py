@@ -8,7 +8,12 @@ edges (ties kept), a weak form of canonical augmentation (McKay 1998).  The
 label order is invariant under isomorphism, every k-edge stable graph has a
 least-labelled edge, and smoothing it gives a stable (k-1)-edge graph that
 one of the two moves undoes, so a complete (k-1) level still yields a
-complete k level.  The label is decided before the child is built.
+complete k level.  The label is decided before the child is built.  A
+vertex is split once per move class (the legs moved, the ends moved to each
+far end, the sorted per-loop counts of moved loop ends, and the mirror when
+both halves have equal genus): splits of one class give isomorphic children,
+and the first is the one kept, so levels and representatives stay those of
+keying every least-label child.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
@@ -118,6 +123,11 @@ def _split_moves(
     edge: ``v`` keeps genus ``a1``, the new vertex the rest and the items in
     ``mask`` (legs at ``v`` by mark, then edge ends at ``v`` by edge).  Of a
     mask and its isomorphic mirror, the one without the last item is tried.
+    Of the masks of one move class (with ``a1``, the legs moved, how many
+    ends to each far end ``w != v`` move and the sorted per-loop counts of
+    moved loop ends; when ``a1 == a2``, the lesser of that and the mirror's)
+    only the first is yielded: parallel edges, a loop's two ends and the
+    loops at ``v`` are interchangeable, so the rest give isomorphic children.
     The label comes from ``v``'s branches, one per component of ``G - v``
     and one per loop at ``v``: the new edge is on a cycle exactly when
     ``mask`` splits a branch, else its far side is the new vertex plus the
@@ -140,21 +150,29 @@ def _split_moves(
             branch = branches.setdefault(_root(root, u), [0, 0, 0])
             branch[1] += w
             branch[2] |= marks[u]
-    t = L
+    t, far, loops = L, {}, []  # mask bits of v's ends to each far end, of each loop at v
     for e, (i, j) in enumerate(G.edges):
         if i == j == v:
             branches[-1 - e] = [3 << t, 0, 0]
+            loops.append(3 << t)
             t += 2
         elif v in (i, j):
             branches[_root(root, i + j - v)][0] |= 1 << t
+            far[i + j - v] = far.get(i + j - v, 0) | 1 << t
             t += 1
     if bound is None and all(b & (b - 1) == 0 for b, _, _ in branches.values()):
         return
     leg_marks, full = [0] * (1 << L), (1 << G.n) - 1
     for low in range(1, 1 << L):
         leg_marks[low] = leg_marks[low & (low - 1)] | 1 << legs_here[(low & -low).bit_length() - 1]
+    twins = loops or len(far) < items - L  # a loop or parallel edges: some moves are isomorphic
+
+    def move_class(m: int) -> tuple:
+        near = sorted((m & b).bit_count() for b in loops)
+        return m & ((1 << L) - 1), *((m & b).bit_count() for b in far.values()), *near
+
     for a1 in range(a // 2 + 1):
-        a2 = a - a1
+        a2, seen = a - a1, set()
         for mask in range(1 << items >> (a1 == a2) or 1):
             moved = mask.bit_count()
             if a1 == 0 and items - moved < 2 or a2 == 0 and moved < 2:
@@ -165,12 +183,20 @@ def _split_moves(
                 if part == b:
                     W, M = W + w, M | mk
                 elif part:
-                    yield a1, mask, None
+                    label = None
                     break
             else:
                 label = min(((W + 1) // 2, M), (g - (W + 1) // 2, full ^ M))
-                if bound is not None and label <= bound:
-                    yield a1, mask, label
+                if bound is None or label > bound:
+                    continue
+            if twins:
+                cls = move_class(mask)
+                if a1 == a2:  # the mirror swaps the halves
+                    cls = min(cls, move_class(~mask & ((1 << items) - 1)))
+                if cls in seen:
+                    continue
+                seen.add(cls)
+            yield a1, mask, label
 
 
 def _split_child(G: DualGraph, v: int, a1: int, mask: int, sides: tuple) -> DualGraph:

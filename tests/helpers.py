@@ -8,8 +8,10 @@ levels but not the store's face map: one searches every edge count for a
 graph lying on all divisors, the other scans a whole level.  The delta
 oracle builds and keys each one-edge smoothing instead of reading divisors
 off the graph.  The generation oracle builds every child of every parent,
-with no least-label rejection, and keys each one.  The divisor oracle keys
-every stable one-edge candidate graph instead of keying by description.
+with no least-label rejection, and keys each one; the least-label oracle
+keys each child whose new edge has the least label, with no move classes.
+The divisor oracle keys every stable one-edge candidate graph instead of
+keying by description.
 The facet oracle tests every face against every face one size up.
 
 The rest are test-side forms of things the library does one way:
@@ -37,7 +39,7 @@ from strata import (
     intersection_components,
 )
 from strata.complexes import _flag_walk
-from strata.graphs import divisor_graph
+from strata.graphs import _edge_sides, divisor_graph
 
 
 def raw(G: DualGraph) -> tuple:
@@ -147,6 +149,35 @@ def oracle_split_children(G: DualGraph, v: int):
                 yield a1, mask, child
 
 
+def oracle_move_class(G: DualGraph, v: int, a1: int, mask: int) -> tuple:
+    """The class of one :func:`oracle_split_children` move; moves of one class give isomorphic children.
+
+    The class is the marks moved, per far end ``w != v`` how many of ``v``'s
+    ends to ``w`` move (parallel edges are interchangeable), and the sorted
+    per-loop counts of moved loop ends (a loop's two ends are
+    interchangeable, and so are the loops at ``v``).  When both halves get
+    equal genus, it is the lesser of the class and its mirror's.
+    """
+    legs_here = [m for m, w in enumerate(G.legs) if w == v]
+    ends = [e for e, (i, j) in enumerate(G.edges) for u in (i, j) if u == v]
+
+    def move_class(m: int) -> tuple:
+        far: dict[int, int] = {}
+        loops: dict[int, int] = {}
+        for t, e in enumerate(ends, len(legs_here)):
+            i, j = G.edges[e]
+            count = loops if i == j else far
+            side = e if i == j else i + j - v
+            count[side] = count.get(side, 0) + (m >> t & 1)
+        moved = tuple(mark for t, mark in enumerate(legs_here) if m >> t & 1)
+        return moved, tuple(sorted(far.items())), tuple(sorted(loops.values()))
+
+    cls = move_class(mask)
+    if 2 * a1 == G.genus[v]:
+        cls = min(cls, move_class(~mask & ((1 << len(legs_here) + len(ends)) - 1)))
+    return cls
+
+
 def oracle_loop_children(G: DualGraph):
     """Children obtained by trading one unit of genus at a vertex for a loop."""
     for v, g in enumerate(G.genus):
@@ -171,6 +202,26 @@ def oracle_level(parents) -> dict[bytes, DualGraph]:
     for G in parents:
         for child in oracle_children(G):
             found.setdefault(canonical_key(child), child)
+    return dict(sorted(found.items()))
+
+
+def least_is_last(sides) -> bool:
+    """Whether the last edge has the least label: ``None`` first, then (genus, marks)."""
+    ranks = [(-1, 0) if side is None else side for side in sides]
+    return ranks[-1] == min(ranks)
+
+
+def least_label_level(parents) -> dict[bytes, DualGraph]:
+    """The level above ``parents`` under least-label rejection: first child per key, in key order.
+
+    Every child of :func:`oracle_children` whose new edge (the last) has the
+    least :func:`_edge_sides` label is keyed, with no move-class pruning.
+    """
+    found: dict[bytes, DualGraph] = {}
+    for G in parents:
+        for child in oracle_children(G):
+            if least_is_last(_edge_sides(child)):
+                found.setdefault(canonical_key(child), child)
     return dict(sorted(found.items()))
 
 

@@ -21,10 +21,14 @@ from strata import (
 from strata.enumeration import _split_moves, _vertex_tables, children
 from strata.graphs import InvalidSignatureError, _divisor_table, _edge_sides, divisor_graph
 from helpers import (
+    least_is_last,
+    least_label_level,
     oracle_divisors,
     oracle_level,
     oracle_loop_children,
+    oracle_move_class,
     oracle_split_children,
+    raw,
     smooth,
 )
 from test_acceptance import GRID
@@ -209,17 +213,13 @@ def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
             parents = level
 
 
-def _least_is_last(sides) -> bool:
-    """Whether the last edge has the least label: ``None`` first, then (genus, marks)."""
-    ranks = [(-1, 0) if side is None else side for side in sides]
-    return ranks[-1] == min(ranks)
-
-
 def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
-    """Every split's incremental label, kept or rejected, equals the child's own.
+    """Splits keep the first move of each move class; every kept label equals the child's own.
 
-    ``children`` must then keep exactly the oracle's children whose new edge
-    (the last) has the least label, in the oracle's order.
+    The dropped moves are exactly the oracle's later members of a class, each
+    isomorphic to its class's kept child, and ``children`` keeps exactly the
+    kept oracle children whose new edge (the last) has the least label, in
+    the oracle's order, no two of them equal.
     """
     for g, n in GRID:
         sig = GnSignature(g, n)
@@ -230,17 +230,48 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
                 for v in range(G.num_vertices):
                     moves = list(_split_moves(G, v, (g + 1, 0), tables, g))
                     built = list(oracle_split_children(G, v))
-                    assert [m[:2] for m in moves] == [b[:2] for b in built]
                     # Validated oracle children carry no labels: _edge_sides recomputes them.
                     assert all(child._sides is None for _, _, child in built)
-                    for (_, _, label), (_, _, child) in zip(moves, built):
+                    first = {}
+                    for a1, mask, child in built:
+                        cls = (a1, oracle_move_class(G, v, a1, mask))
+                        first.setdefault(cls, (a1, mask, child))
+                        assert canonical_key(child) == canonical_key(first[cls][2]), (sig, v, mask)
+                    assert [m[:2] for m in moves] == [f[:2] for f in first.values()]
+                    for (_, _, label), (_, _, child) in zip(moves, first.values()):
                         sides = _edge_sides(child)
                         assert label == sides[-1], (sig, G.describe(), v)
-                        if _least_is_last(sides):
+                        if least_is_last(sides):
                             kept.append(child)
-                kept += [H for H in oracle_loop_children(G) if _least_is_last(_edge_sides(H))]
+                kept += [H for H in oracle_loop_children(G) if least_is_last(_edge_sides(H))]
                 assert list(children(G)) == kept, (sig, G.describe())
+                assert len({raw(H) for H in kept}) == len(kept), (sig, G.describe())
             parents = store.level(sig, k)
+
+
+@pytest.mark.parametrize(
+    "g,n,top", [(g, n, GnSignature(g, n).dim) for g, n in GRID] + [(4, 0, 6), (5, 0, 6)]
+)
+def test_levels_equal_least_label_oracle(store, g, n, top):
+    """Move classes lose no class and change no representative, edge order or carried label."""
+    sig = GnSignature(g, n)
+    parents = [smooth_point(sig)]
+    for k in range(1, top + 1):
+        level = store.level(sig, k)
+        expected = least_label_level(parents)
+        assert level.keys() == tuple(expected), (sig, k)
+        for G, H in zip(level, expected.values()):
+            assert G == H and G._sides == _edge_sides(H), (sig, k, G.describe())
+        parents = level
+
+
+def test_isomorphic_splits_of_one_vertex_yield_once():
+    """A loop end with the edge to 0, or with the edge to 1: one class through the mirror."""
+    G = DualGraph((0, 0, 0), [(0, 2), (1, 2), (2, 2)], (1, 1, 1, 0, 0, 0))
+    masks = [mask for a1, mask, _ in _split_moves(G, 2, (2, 0), _vertex_tables(G), 1) if a1 == 0]
+    assert 0b101 in masks and 0b110 not in masks
+    twins = {mask: child for _, mask, child in oracle_split_children(G, 2)}
+    assert canonical_key(twins[0b101]) == canonical_key(twins[0b110])
 
 
 def test_carried_labels_equal_recomputed_on_acceptance_grid(store):

@@ -13,7 +13,9 @@ Standard library only.
 The list covers ``enumerate`` at every k in every format, ``complex`` full
 and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 ``verify`` in text and json, and ``intersect`` in every format on pairs of
-the first four divisors, on the cells below; ``paper-suite`` in text and json;
+the first four divisors, on the cells below; ``enumerate --g 4 --n 0`` json
+at every k (legless graphs, rich in loops and parallel edges);
+``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
@@ -120,6 +122,10 @@ def invocations(old: Path) -> list[list[str]]:
             calls += [[command, *sig, "--format", f] for f in ("text", "json")]
         for a, b in combinations(keys[g, n][:4], 2):
             calls += [["intersect", *sig, "--format", f, a, b] for f in FORMATS]
+    # (4,0) has no legs: its vertices carry only loops and edges, many of them parallel.
+    calls += [
+        ["enumerate", "--g", "4", "--n", "0", "--k", str(k), "--format", "json"] for k in range(1, 10)
+    ]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
 
