@@ -3,7 +3,6 @@
 from .complexes import (
     BoundaryComplex,
     Family,
-    FlagVerdict,
     TheoremVerdict,
     boundary_complex,
     check_theorem,
@@ -13,12 +12,7 @@ from .complexes import (
     predicted_flag,
     universal_degeneration,
 )
-from .enumeration import (
-    BudgetExceededError,
-    StratumSet,
-    StratumStore,
-    smooth_point,
-)
+from .enumeration import BudgetExceededError, StratumSet, StratumStore
 from .graphs import (
     DualGraph,
     GnSignature,
@@ -46,7 +40,6 @@ __all__ = [
     "DivisorSet",
     "DualGraph",
     "Family",
-    "FlagVerdict",
     "GnSignature",
     "IntersectionReport",
     "InvalidSignatureError",
@@ -67,7 +60,6 @@ __all__ = [
     "one_vertex",
     "pinwheel",
     "predicted_flag",
-    "smooth_point",
     "two_vertex_divisor",
     "universal_degeneration",
 ]

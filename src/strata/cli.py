@@ -171,26 +171,25 @@ def cmd_complex(args: argparse.Namespace, store: StratumStore) -> int:
 
 def cmd_flag_check(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    verdict = flag_verdict(sig, store)
+    witness = flag_verdict(sig, store)
     if args.format == "json":
         obj = {
             "g": sig.g,
             "n": sig.n,
-            "is_flag": verdict.is_flag,
-            "witness": _witness_json(verdict.witness),
+            "is_flag": witness is None,
+            "witness": _witness_json(witness),
         }
         print(_dumps(obj))
     else:
-        print(f"{sig}: {'flag' if verdict.is_flag else 'not a flag complex'}")
-        if verdict.witness:
-            for key in verdict.witness:
-                print(f"  witness divisor {key_to_hex(key)}")
-    return EXIT_OK if verdict.is_flag else EXIT_NEGATIVE
+        print(f"{sig}: {'flag' if witness is None else 'not a flag complex'}")
+        for key in witness or ():
+            print(f"  witness divisor {key_to_hex(key)}")
+    return EXIT_OK if witness is None else EXIT_NEGATIVE
 
 
 def cmd_witness(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
-    witness = flag_verdict(sig, store).witness
+    witness = flag_verdict(sig, store)
     if args.format == "json":
         print(_dumps({"g": sig.g, "n": sig.n, "witness": _witness_json(witness)}))
     elif witness is None:
@@ -270,7 +269,7 @@ def _paper_suite_checks(store: StratumStore):
         return fv == (4, 5, 2), f"f-vector {fv}"
 
     def m22_flag():
-        return flag_verdict(GnSignature(2, 2), store).is_flag, ""
+        return flag_verdict(GnSignature(2, 2), store) is None, ""
 
     def m22_nonedge():
         C = boundary_complex(GnSignature(2, 2), store)
@@ -326,7 +325,7 @@ def _paper_suite_checks(store: StratumStore):
         return True, ""
 
     def pinwheel_flag_23():
-        return not flag_verdict(GnSignature(2, 3), store).is_flag, ""
+        return flag_verdict(GnSignature(2, 3), store) is not None, ""
 
     def theorem_spots():
         for g, n in [(2, 2), (2, 3), (1, 3), (0, 5), (3, 2)]:

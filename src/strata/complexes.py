@@ -10,8 +10,8 @@ closed by construction (and verified to be).
 Flag checking walks cliques of the 1-skeleton level by level: as long as
 every clique of the current size is a face, its extensions are enumerated;
 the first non-face clique encountered is a minimal witness (smallest size,
-then lexicographic in canonical-key order).  A verdict's witness is that
-clique as a sorted tuple of divisor keys, ``None`` for a flag complex: its
+then lexicographic in canonical-key order).  The verdict is that witness,
+a sorted tuple of divisor keys, or ``None`` for a flag complex: its
 divisors meet pairwise, being a clique, but not all together, being no
 face.  :func:`flag_verdict` (and :func:`check_theorem` through it) tests
 cliques against the store's face map, one level at a time, so a small
@@ -35,15 +35,13 @@ class BoundaryComplex:
     """Simplicial complex on divisor keys with explicit face sets per size.
 
     ``faces[j]`` holds the j-element faces as frozensets of vertex indices;
-    vertex order is canonical-key order.  ``max_dim`` is the largest face
-    size the builder examined (the full dimension unless truncated).
+    vertex order is canonical-key order.
     """
 
     signature: GnSignature
     vertices: tuple[bytes, ...]
     divisor_graphs: tuple[DualGraph, ...]
     faces: Mapping[int, frozenset[frozenset[int]]]
-    max_dim: int
 
     def f_vector(self) -> tuple[int, ...]:
         sizes = sorted(j for j, fs in self.faces.items() if fs)
@@ -107,9 +105,7 @@ def boundary_complex(
             frozenset(index[k] for k in support) for support in store.faces(sig, j)
         )
     _verify_downward_closed(faces)
-    return BoundaryComplex(
-        sig, vertices, tuple(table.graphs.values()), faces, depth
-    )
+    return BoundaryComplex(sig, vertices, tuple(table.graphs.values()), faces)
 
 
 def _subfaces(faces: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
@@ -132,21 +128,12 @@ def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> N
 # -- flag property ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagVerdict:
-    witness: tuple[bytes, ...] | None
-
-    @property
-    def is_flag(self) -> bool:
-        return self.witness is None
-
-
 def _flag_walk(
     edges: Iterable[frozenset[bytes]],
     is_face: Callable[[frozenset[bytes]], bool],
     cap: int,
-) -> FlagVerdict:
-    """Level-by-level clique search of the 1-skeleton spanned by ``edges``.
+) -> tuple[bytes, ...] | None:
+    """The least non-face clique of the 1-skeleton spanned by ``edges``, or ``None``.
 
     Vertices and faces are divisor keys.  Cliques of size j+1 are
     extensions of size-j cliques by a key above their maximum, so each
@@ -174,16 +161,16 @@ def _flag_walk(
                 else:
                     nonfaces.append(nc)
         if nonfaces:
-            return FlagVerdict(min(nonfaces))
+            return min(nonfaces)
         cliques = next_level
-    return FlagVerdict(None)
+    return None
 
 
-def flag_verdict(sig: GnSignature, store: StratumStore) -> FlagVerdict:
-    """Flag verdict with lazily built face levels.
+def flag_verdict(sig: GnSignature, store: StratumStore) -> tuple[bytes, ...] | None:
+    """The least non-face clique of ``sig``'s complex as sorted divisor keys; ``None`` if flag.
 
-    Enumerates strata only up to the level where the walk settles, which
-    keeps spaces with small witnesses cheap.
+    Face levels are built lazily, only up to the level where the walk
+    settles, which keeps spaces with small witnesses cheap.
     """
     return _flag_walk(
         store.faces(sig, 2) if sig.dim >= 2 else (),
@@ -226,10 +213,10 @@ def check_theorem(sig: GnSignature, store: StratumStore) -> TheoremVerdict:
     """
     predicted = predicted_flag(sig)
     try:
-        verdict = flag_verdict(sig, store)
+        witness = flag_verdict(sig, store)
     except BudgetExceededError:
         return TheoremVerdict(sig, predicted, None, None)
-    return TheoremVerdict(sig, predicted, verdict.is_flag, verdict.witness)
+    return TheoremVerdict(sig, predicted, witness is None, witness)
 
 
 # -- counterexample families ---------------------------------------------------

@@ -1,23 +1,25 @@
 """Enumeration of stable dual graphs by signature and edge count.
 
-Graphs with k edges are generated from the (k-1)-edge level by the two
-inverse smoothing moves: splitting a vertex (distributing its genus, legs
-and edge ends over a new edge) and trading one unit of genus for a loop.
-A child is kept only if its new edge has the least divisor label among its
-edges (ties kept), a weak form of canonical augmentation (McKay 1998).  The
-label order is invariant under isomorphism, every k-edge stable graph has a
-least-labelled edge, and smoothing it gives a stable (k-1)-edge graph that
-one of the two moves undoes, so a complete (k-1) level still yields a
-complete k level.  The label is decided before the child is built.  A
-vertex is split once per move class (the legs moved, the ends moved to each
-far end, the sorted per-loop counts of moved loop ends, and the mirror when
-both halves have equal genus): splits of one class give isomorphic children,
-and the first is the one kept, so levels and representatives stay those of
-keying every least-label child.
+Level 0 is the one-vertex graph ``one_vertex(g, n)``.  Graphs with k edges are
+generated from the (k-1)-edge level by the two inverse smoothing moves:
+splitting a vertex (distributing its genus, legs and edge ends over a new
+edge) and trading one unit of genus for a loop.  A child is kept only if its
+new edge has the least divisor label among its edges (ties kept), a weak form
+of canonical augmentation (McKay 1998).  The label order is invariant under
+isomorphism, every k-edge stable graph has a least-labelled edge, and
+smoothing it gives a stable (k-1)-edge graph that one of the two moves undoes,
+so a complete (k-1) level still yields a complete k level.  The label is
+decided before the child is built.  A vertex is split once per move class (the
+legs moved, the ends moved to each far end, the sorted per-loop counts of
+moved loop ends, and the mirror when both halves have equal genus): splits of
+one class give isomorphic children, and the first is the one kept, so levels
+and representatives stay those of keying every least-label child.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
-as it lives and can mirror them to disk, one JSON file per (g, n, k).
+as it lives and can mirror them to disk, one JSON file per (g, n, k).  A
+level over the store's ``max_graphs``, generated, loaded or (the divisors)
+counted, raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ class StratumSet:
 
 def _make_set(sig: GnSignature, k: int, found: dict[bytes, DualGraph]) -> StratumSet:
     return StratumSet(sig, k, dict(sorted(found.items())))
-
-
-def smooth_point(sig: GnSignature) -> DualGraph:
-    """The edgeless graph: one vertex of genus g carrying all legs."""
-    G = one_vertex(sig.g, sig.n)
-    assert G.is_stable()
-    return G
 
 
 def _vertex_tables(G: DualGraph) -> tuple[list[int], list[int], list[int]]:
@@ -186,6 +181,7 @@ def _split_moves(
                     label = None
                     break
             else:
+                # The bridge label of graphs._edge_sides, kept inline for speed.
                 label = min(((W + 1) // 2, M), (g - (W + 1) // 2, full ^ M))
                 if bound is None or label > bound:
                     continue
@@ -242,10 +238,17 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
             yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs, sides + (None,))
 
 
+def _over_budget(
+    sig: GnSignature, k: int, max_graphs: int, where: str = ""
+) -> BudgetExceededError:
+    """The error for level ``k`` of ``sig`` over ``max_graphs``; ``where`` is " in <file>" or ""."""
+    return BudgetExceededError(f"level {sig} k={k}{where} exceeds budget of {max_graphs} graphs")
+
+
 def _check_divisor_budget(sig: GnSignature, max_graphs: int) -> None:
     """Raise level 1's budget error from the divisor count, before the divisor table is built."""
     if _divisor_count(sig.g, sig.n) > max_graphs:
-        raise BudgetExceededError(f"level {sig} k=1 exceeds budget of {max_graphs} graphs")
+        raise _over_budget(sig, 1, max_graphs)
 
 
 def _generate_level(
@@ -259,9 +262,7 @@ def _generate_level(
             key = canonical_key(child)
             if key not in found:
                 if len(found) >= max_graphs:
-                    raise BudgetExceededError(
-                        f"level {sig} k={k} exceeds budget of {max_graphs} graphs"
-                    )
+                    raise _over_budget(sig, k, max_graphs)
                 found[key] = child
     return _make_set(sig, k, found)
 
@@ -326,7 +327,7 @@ class StratumStore:
         if cached is not None:
             return cached
         if k == 0:
-            G = smooth_point(sig)
+            G = one_vertex(sig.g, sig.n)
             level = _make_set(sig, 0, {canonical_key(G): G})
         else:
             level = self._load(sig, k)
@@ -375,9 +376,7 @@ class StratumStore:
         except (ValueError, KeyError, TypeError, OSError, RecursionError):
             return None
         if len(level) > self.max_graphs:
-            raise BudgetExceededError(
-                f"level {sig} k={k} in {path} exceeds budget of {self.max_graphs} graphs"
-            )
+            raise _over_budget(sig, k, self.max_graphs, f" in {path}")
         return level
 
     def _save(self, level: StratumSet) -> None:

@@ -167,7 +167,7 @@ class DualGraph:
 
     def is_stable(self) -> bool:
         """Genus-0 vertices need valence >= 3, genus-1 vertices >= 1."""
-        val = [0] * self.num_vertices
+        val = [0] * self.num_vertices  # as in enumeration._vertex_tables; kept inline for speed
         for i, j in self.edges:
             val[i] += 1
             val[j] += 1
@@ -241,9 +241,6 @@ class DualGraph:
             "edges": sorted([i, j] for i, j in self.edges),
             "legs": {str(m + 1): v for m, v in enumerate(self.legs)},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> DualGraph:
@@ -415,6 +412,7 @@ def _edge_sides(G: DualGraph) -> tuple[tuple[int, int] | None, ...]:
     for v in reversed(order[1:]):
         if not cut[v]:
             a = (weight[v] + 1) // 2
+            # The bridge label of enumeration._split_moves, kept inline for speed.
             sides[up[v]] = min((a, marks[v]), (g - a, full ^ marks[v]))
         p = parent[v]
         cut[p] ^= cut[v]

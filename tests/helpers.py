@@ -17,13 +17,15 @@ The facet oracle tests every face against every face one size up.
 The rest are test-side forms of things the library does one way:
 isomorphism is ``canonical_key`` equality, smoothing one edge is
 ``smooth_set`` of one edge, nonemptiness is ``intersection_components``,
-and :func:`is_flag` runs the library's clique walk on a built complex
-where ``flag_verdict`` runs it on the store's face map.  The genus-1
-reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
+and :func:`flag_witness` runs the library's clique walk on a built complex
+where ``flag_verdict`` runs it on the store's face map.  :func:`to_json`
+is a graph's compact ``dualgraph/1`` text, the form the CLI reads.  The
+genus-1 reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
 """
 
 from __future__ import annotations
 
+import json
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
@@ -31,7 +33,6 @@ from strata import (
     BoundaryComplex,
     DivisorSet,
     DualGraph,
-    FlagVerdict,
     GnSignature,
     StratumStore,
     canonical_key,
@@ -40,6 +41,10 @@ from strata import (
 )
 from strata.complexes import _flag_walk
 from strata.graphs import _edge_sides, divisor_graph
+
+
+def to_json(G: DualGraph) -> str:
+    return json.dumps(G.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def raw(G: DualGraph) -> tuple:
@@ -436,22 +441,24 @@ def is_face(C: BoundaryComplex, indices) -> bool:
     return face in C.faces.get(len(face), frozenset())
 
 
-def is_flag(C: BoundaryComplex) -> FlagVerdict:
+def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
     """The eager twin of ``flag_verdict``: the same clique walk on a built complex.
 
-    Raises ``ValueError`` when ``C`` was built too shallow for the verdict
-    to be determined (only possible for truncated complexes): below size 2,
-    where the 1-skeleton itself is missing, or below a clique the walk
-    reaches.
+    Returns the least non-face clique as sorted divisor keys, ``None`` for a
+    flag complex.  Raises ``ValueError`` when ``C`` was built too shallow for
+    the verdict to be determined (only possible for truncated complexes):
+    below size 2, where the 1-skeleton itself is missing, or below a clique
+    the walk reaches.  The build depth is the largest face size listed.
     """
-    if C.max_dim < 2 <= min(C.signature.dim, len(C.vertices)):
-        raise ValueError(f"complex truncated at max_dim={C.max_dim}; it has no 1-skeleton")
+    depth = max(C.faces, default=0)
+    if depth < 2 <= min(C.signature.dim, len(C.vertices)):
+        raise ValueError(f"complex truncated at max_dim={depth}; it has no 1-skeleton")
     index = {key: i for i, key in enumerate(C.vertices)}
 
     def face_test(face: frozenset[bytes]) -> bool:
-        if len(face) > C.max_dim:
+        if len(face) > depth:
             raise ValueError(
-                f"complex truncated at max_dim={C.max_dim}; "
+                f"complex truncated at max_dim={depth}; "
                 f"flag check reached a clique of size {len(face)}"
             )
         return is_face(C, (index[key] for key in face))

@@ -35,8 +35,8 @@ from strata import (
 )
 import test_properties as props
 from helpers import (
+    flag_witness,
     intersect_nonempty,
-    is_flag,
     is_isomorphic,
     oracle_canon,
     oracle_contract,
@@ -55,7 +55,7 @@ def test_criterion_1_m22_reproduction(store):
     sig = GnSignature(2, 2)
     table = store.divisors(sig)
     C = boundary_complex(sig, store)
-    flag = is_flag(C).is_flag
+    flag = flag_witness(C) is None
     adj = C.adjacency()
     nonedges = [
         {C.vertices[i], C.vertices[j]}
@@ -198,9 +198,9 @@ def test_criterion_4_pinwheel_families(store):
         assert not intersect_nonempty(divisor_set(F.signature, F.divisors.values(), store), store)
     flag23 = flag_verdict(GnSignature(2, 3), store)
     elapsed = time.perf_counter() - start
-    ok = not flag23.is_flag and elapsed < 30.0
+    ok = flag23 is not None and elapsed < 30.0
     _line(4, ok, f"pinwheel families at (2,3) and (2,4); {elapsed:.2f}s")
-    assert not flag23.is_flag
+    assert flag23 is not None
     assert elapsed < 30.0
 
 

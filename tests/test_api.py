@@ -49,7 +49,7 @@ def _references(tree: ast.AST) -> set[str]:
     """Names read in ``tree``: a bare ``Name``, or an ``Attribute`` of a strata module.
 
     An import or a docstring is no reference, and neither is an attribute
-    of some other object (``verdict.is_flag`` is not the function).
+    of some other object (``itertools.chain`` is not :func:`strata.chain`).
     """
     return {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -86,6 +86,36 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         frontier = set().union(*(defs.get(name, ()) for name in frontier)) - reached
         reached |= frontier
     assert sorted(set(strata.__all__) - reached) == []
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """Each public method and property of a class in ``strata.__all__`` is read by name.
+
+    A read is an attribute of that name on any object, in the package's
+    modules, ``perfbench/`` or ``tools/``.  ``DualGraph.valence`` is the one
+    exception: ``perfbench/tracer.py`` patches it by string, and it leaves
+    together with that patch.
+    """
+    read = {
+        node.attr
+        for path in [
+            *(ROOT / "src" / "strata").glob("*.py"),
+            *ROOT.glob("perfbench/*.py"),
+            *ROOT.glob("tools/*.py"),
+        ]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = {
+        f"{name}.{member}"
+        for name in strata.__all__
+        if inspect.isclass(cls := getattr(strata, name))
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, (property, classmethod)))
+        and member not in read
+    }
+    assert sorted(unread - {"DualGraph.valence"}) == []
 
 
 def test_readme_examples_print_what_their_comments_say():

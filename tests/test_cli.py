@@ -22,6 +22,7 @@ from strata import (
     two_vertex_divisor,
 )
 from strata.cli import main
+from helpers import to_json
 
 
 def run(capsys, *argv):
@@ -93,6 +94,42 @@ def test_complex_divisor_budget_fails_fast(capsys, fmt, expected):
     assert result == (3, "", expected)
 
 
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [
+        ("text", "error: level (1,4) k=2 exceeds budget of 20 graphs\n"),
+        (
+            "json",
+            '{"error":{"code":"budget","message":"level (1,4) k=2 exceeds budget of 20 graphs"}}\n',
+        ),
+    ],
+)
+def test_generated_level_budget_message(capsys, fmt, expected):
+    result = run(
+        capsys, "enumerate", "--g", "1", "--n", "4", "--k", "3", "--max-graphs", "20",
+        "--format", fmt,
+    )
+    assert result == (3, "", expected)
+
+
+@pytest.mark.parametrize(
+    "fmt,template",
+    [
+        ("text", "error: level (1,4) k=2 in {} exceeds budget of 5 graphs\n"),
+        (
+            "json",
+            '{{"error":{{"code":"budget","message":'
+            '"level (1,4) k=2 in {} exceeds budget of 5 graphs"}}}}\n',
+        ),
+    ],
+)
+def test_loaded_level_budget_message(capsys, tmp_path, fmt, template):
+    argv = ("flag-check", "--g", "1", "--n", "4", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    result = run(capsys, *argv, "--max-graphs", "5", "--format", fmt)
+    assert result == (3, "", template.format(tmp_path / "g1n4" / "k2.json"))
+
+
 def test_enumerate_deterministic_output(capsys):
     _, first, _ = run(
         capsys, "enumerate", "--g", "2", "--n", "2", "--k", "2", "--format", "json"
@@ -147,7 +184,7 @@ def test_intersect_empty_from_files(capsys, tmp_path):
     ]
     for t, G in enumerate(graphs):
         p = tmp_path / f"d{t}.json"
-        p.write_text(G.to_json())
+        p.write_text(to_json(G))
         paths.append(str(p))
     code, out, _ = run(capsys, "intersect", *paths)
     assert code == 1
@@ -163,9 +200,9 @@ def test_intersect_single_divisor(capsys):
 
 def test_intersect_mixed_signatures(capsys, tmp_path):
     a = tmp_path / "a.json"
-    a.write_text(one_vertex(1, 2, loops=1).to_json())
+    a.write_text(to_json(one_vertex(1, 2, loops=1)))
     b = tmp_path / "b.json"
-    b.write_text(one_vertex(1, 3, loops=1).to_json())
+    b.write_text(to_json(one_vertex(1, 3, loops=1)))
     code, _, err = run(capsys, "intersect", str(a), str(b))
     assert code == 2
     assert "mixed" in err
@@ -179,7 +216,7 @@ def test_intersect_rejects_flags_other_than_files_signature(capsys, tmp_path, fl
     paths = []
     for t, G in enumerate([one_vertex(1, 2, loops=1), two_vertex_divisor(1, (1,), 1, (2,))]):
         path = tmp_path / f"d{t}.json"
-        path.write_text(G.to_json())
+        path.write_text(to_json(G))
         paths.append(str(path))
     code, out, err = run(capsys, "intersect", *flags, "--format", fmt, *paths)
     assert code == 2
@@ -235,7 +272,7 @@ def test_intersect_rejects_star_file_fast(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_intersect_malformed_graph_file_is_usage_error(capsys, tmp_path, graph, fmt):
     good = tmp_path / "good.json"
-    good.write_text(one_vertex(1, 2, loops=1).to_json())
+    good.write_text(to_json(one_vertex(1, 2, loops=1)))
     bad = tmp_path / "bad.json"
     bad.write_text(graph if isinstance(graph, str) else json.dumps(graph))
     code, out, err = run(capsys, "intersect", "--format", fmt, str(good), str(bad))

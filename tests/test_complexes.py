@@ -23,7 +23,14 @@ from strata import (
     universal_degeneration,
 )
 from strata.complexes import _verify_downward_closed
-from helpers import intersect_nonempty, is_face, is_flag, is_isomorphic, oracle_facets, witness_for
+from helpers import (
+    flag_witness,
+    intersect_nonempty,
+    is_face,
+    is_isomorphic,
+    oracle_facets,
+    witness_for,
+)
 from test_acceptance import GRID
 
 
@@ -33,7 +40,7 @@ from test_acceptance import GRID
 def test_m22_complex(store):
     C = boundary_complex(GnSignature(2, 2), store)
     assert C.f_vector() == (4, 5, 2)
-    assert is_flag(C).is_flag
+    assert flag_witness(C) is None
     adj = C.adjacency()
     missing = [
         (i, j)
@@ -68,20 +75,20 @@ def test_m22_triangles(store):
 def test_dimension_one_space_has_isolated_vertices(store):
     C = boundary_complex(GnSignature(1, 1), store)
     assert C.f_vector() == (1,)
-    assert is_flag(C).is_flag
+    assert flag_witness(C) is None
 
 
 def test_dimension_zero_space_is_empty_complex(store):
     C = boundary_complex(GnSignature(0, 3), store)
     assert C.f_vector() == ()
     assert C.vertices == ()
-    assert is_flag(C).is_flag
+    assert flag_witness(C) is None
 
 
 def test_genus_zero_five_marks(store):
     C = boundary_complex(GnSignature(0, 5), store)
     assert C.f_vector() == (10, 15)
-    assert is_flag(C).is_flag
+    assert flag_witness(C) is None
     facets = C.facets()
     assert len(facets) == 15
     assert all(len(f) == 2 for f in facets)
@@ -146,7 +153,6 @@ def test_f_vector_invariant_under_vertex_reordering(store):
         tuple(C.vertices[i] for i in order),
         tuple(C.divisor_graphs[i] for i in order),
         faces,
-        C.max_dim,
     )
     assert reordered.f_vector() == C.f_vector()
 
@@ -159,22 +165,22 @@ def test_max_dim_validation(store):
 def test_truncated_complex_refuses_flag_check(store):
     C = boundary_complex(GnSignature(2, 3), store, max_dim=2)
     with pytest.raises(ValueError, match="truncated"):
-        is_flag(C)
+        flag_witness(C)
 
 
 @pytest.mark.parametrize("max_dim", [0, 1])
 def test_complex_without_one_skeleton_refuses_flag_check(store, max_dim):
     C = boundary_complex(GnSignature(2, 3), store, max_dim=max_dim)
     with pytest.raises(ValueError, match="truncated"):
-        is_flag(C)
+        flag_witness(C)
 
 
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1)])
 def test_full_complex_below_dimension_two_keeps_its_verdict(store, g, n):
     sig = GnSignature(g, n)
     C = boundary_complex(sig, store)
-    assert C.max_dim < 2
-    assert is_flag(C).is_flag is flag_verdict(sig, store).is_flag is True
+    assert max(C.faces, default=0) < 2
+    assert flag_witness(C) is flag_verdict(sig, store) is None
 
 
 def test_exports(store):
@@ -193,9 +199,7 @@ def test_exports(store):
 
 
 def test_flag_witness_at_2_3(store):
-    verdict = flag_verdict(GnSignature(2, 3), store)
-    assert not verdict.is_flag
-    witness = verdict.witness
+    witness = flag_verdict(GnSignature(2, 3), store)
     assert witness is not None
     assert len(witness) == 3
     expected = {canonical_key(D) for D in pinwheel(3).divisors.values()}
@@ -207,7 +211,7 @@ def test_witness_meets_pairwise_but_not_all_together(store):
     cells = 0
     for g, n in GRID:
         sig = GnSignature(g, n)
-        witness = flag_verdict(sig, store).witness
+        witness = flag_verdict(sig, store)
         if witness is None:
             continue
         cells += 1
@@ -220,17 +224,14 @@ def test_witness_meets_pairwise_but_not_all_together(store):
 def test_eager_and_lazy_flag_checks_agree(store):
     for g, n in [(2, 2), (2, 3), (1, 3), (0, 5), (1, 4), (3, 2)]:
         sig = GnSignature(g, n)
-        eager = is_flag(boundary_complex(sig, store))
-        lazy = flag_verdict(sig, store)
-        assert eager.is_flag == lazy.is_flag
-        assert eager.witness == lazy.witness
+        assert flag_witness(boundary_complex(sig, store)) == flag_verdict(sig, store)
 
 
 def test_witness_is_lexicographically_minimal(store):
     """Among the smallest non-face cliques, the key-lex least one is reported."""
     sig = GnSignature(2, 4)
-    verdict = flag_verdict(sig, store)
-    assert not verdict.is_flag
+    witness = flag_verdict(sig, store)
+    assert witness is not None
     C = boundary_complex(sig, store, max_dim=3)
     adj = C.adjacency()
     nonface_triples = sorted(
@@ -241,7 +242,7 @@ def test_witness_is_lexicographically_minimal(store):
     )
     assert nonface_triples
     expected = tuple(C.vertices[t] for t in nonface_triples[0])
-    assert verdict.witness == expected
+    assert witness == expected
 
 
 def test_witness_for_probe(store):

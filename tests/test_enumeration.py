@@ -15,7 +15,6 @@ from strata import (
     canonical_key,
     chain,
     one_vertex,
-    smooth_point,
     two_vertex_divisor,
 )
 from strata.enumeration import _split_moves, _vertex_tables, children
@@ -141,11 +140,6 @@ def test_smoothing_closure(store):
                     assert canonical_key(smooth(G, e)) in below
 
 
-def test_smooth_point_shape():
-    G = smooth_point(GnSignature(2, 3))
-    assert G == one_vertex(2, 3)
-
-
 def test_level_requires_k_in_range(store):
     sig = GnSignature(1, 2)
     with pytest.raises(ValueError, match="out of range"):
@@ -194,7 +188,7 @@ def test_divisor_budget_is_the_divisor_count(g, n):
 def test_children_equal_validated_construction(store, g, n):
     """Children are built unchecked; each must pass the validating constructor."""
     sig = GnSignature(g, n)
-    parents = [smooth_point(sig)]
+    parents = [one_vertex(sig.g, sig.n)]
     for k in range(1, sig.dim + 1):
         for G in parents:
             for child in children(G):
@@ -206,7 +200,7 @@ def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
     """Least-label rejection loses no class: keys and order match keying every child."""
     for g, n in GRID:
         sig = GnSignature(g, n)
-        parents = [smooth_point(sig)]
+        parents = [one_vertex(sig.g, sig.n)]
         for k in range(1, sig.dim + 1):
             level = store.level(sig, k)
             assert level.keys() == tuple(oracle_level(parents)), (sig, k)
@@ -223,7 +217,7 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
     """
     for g, n in GRID:
         sig = GnSignature(g, n)
-        parents = [smooth_point(sig)]
+        parents = [one_vertex(sig.g, sig.n)]
         for k in range(1, sig.dim + 1):
             for G in parents:
                 tables, kept = _vertex_tables(G), []
@@ -255,7 +249,7 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
 def test_levels_equal_least_label_oracle(store, g, n, top):
     """Move classes lose no class and change no representative, edge order or carried label."""
     sig = GnSignature(g, n)
-    parents = [smooth_point(sig)]
+    parents = [one_vertex(sig.g, sig.n)]
     for k in range(1, top + 1):
         level = store.level(sig, k)
         expected = least_label_level(parents)
@@ -360,7 +354,7 @@ def test_generator_2_level_file_regenerated(tmp_path):
     """
     sig, k = GnSignature(1, 4), 3
     expected = [G.to_json_obj() for G in StratumStore(cache_dir=tmp_path).level(sig, k)]
-    old = {canonical_key(smooth_point(sig)): smooth_point(sig)}
+    old = {canonical_key(one_vertex(sig.g, sig.n)): one_vertex(sig.g, sig.n)}
     for _ in range(k):
         old = oracle_level(old.values())
     path = tmp_path / "g1n4" / "k3.json"

@@ -15,15 +15,17 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 ``verify`` in text and json, and ``intersect`` in every format on pairs of
 the first four divisors, on the cells below; ``enumerate --g 4 --n 0`` json
 at every k (legless graphs, rich in loops and parallel edges);
-``paper-suite`` in text and json;
+``flag-check`` and ``witness`` in text and json at (0,4) and (1,1), below
+dimension 2; ``paper-suite`` in text and json;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
 ``intersect`` on a multi-edge graph that is no divisor (a genus-0 centre
 with eight genus-1 leaves), ``flag-check`` on a cache directory that cannot
 be written and on one whose name is too long to read (``ENAMETOOLONG``),
-``complex --max-dim 1`` with a budget below the divisor count, and
-``--format dot`` on each command that does not render graphs.
+``complex --max-dim 1`` with a budget below the divisor count,
+``enumerate --g 1 --n 4 --k 3 --max-graphs 20`` (a generated level over
+budget), and ``--format dot`` on each command that does not render graphs.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -126,6 +128,13 @@ def invocations(old: Path) -> list[list[str]]:
     calls += [
         ["enumerate", "--g", "4", "--n", "0", "--k", str(k), "--format", "json"] for k in range(1, 10)
     ]
+    # Below dimension 2 the flag walk has no edges to start from.
+    calls += [
+        [command, "--g", g, "--n", n, "--format", f]
+        for command in ("flag-check", "witness")
+        for g, n in (("0", "4"), ("1", "1"))
+        for f in ("text", "json")
+    ]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
 
@@ -134,6 +143,7 @@ def invocations(old: Path) -> list[list[str]]:
         calls += [
             ["enumerate", "--g", "0", "--n", "2", "--k", "1", "--format", f],
             ["enumerate", "--g", "1", "--n", "1", "--k", "1", "--max-graphs", "0", "--format", f],
+            ["enumerate", "--g", "1", "--n", "4", "--k", "3", "--max-graphs", "20", "--format", f],
             ["intersect", "--format", f, "loop22.json", "no_edges.json"],
             ["intersect", "--format", f, "loop22.json", "bad_genus.json"],
             ["intersect", "--format", f, "deep.json"],

@@ -27,12 +27,12 @@ def cold_verdict(g: int, n: int) -> dict:
     from strata import GnSignature, StratumStore, flag_verdict
 
     start = time.perf_counter()
-    verdict = flag_verdict(GnSignature(g, n), StratumStore())
+    witness = flag_verdict(GnSignature(g, n), StratumStore())
     wall_s = time.perf_counter() - start
     return {
         "g": g,
         "n": n,
-        "is_flag": verdict.is_flag,
+        "is_flag": witness is None,
         "wall_s": round(wall_s, 2),
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
