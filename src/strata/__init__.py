@@ -3,9 +3,7 @@
 from .complexes import (
     BoundaryComplex,
     Family,
-    TheoremVerdict,
     boundary_complex,
-    check_theorem,
     flag_verdict,
     high_genus,
     pinwheel,
@@ -45,11 +43,9 @@ __all__ = [
     "InvalidSignatureError",
     "StratumSet",
     "StratumStore",
-    "TheoremVerdict",
     "boundary_complex",
     "canonical_key",
     "chain",
-    "check_theorem",
     "divisor_set",
     "flag_verdict",
     "high_genus",

@@ -1,4 +1,4 @@
-"""Boundary complexes, the flag property, and the classification harness.
+"""Boundary complexes, the flag property, and the paper's classification.
 
 The boundary complex of a signature has one vertex per boundary divisor and
 a face for every set of divisors with nonempty intersection; a j-face is
@@ -13,9 +13,10 @@ the first non-face clique encountered is a minimal witness (smallest size,
 then lexicographic in canonical-key order).  The verdict is that witness,
 a sorted tuple of divisor keys, or ``None`` for a flag complex: its
 divisors meet pairwise, being a clique, but not all together, being no
-face.  :func:`flag_verdict` (and :func:`check_theorem` through it) tests
-cliques against the store's face map, one level at a time, so a small
-witness never forces a deep enumeration.
+face.  :func:`flag_verdict` tests cliques against the store's face map,
+one level at a time, so a small witness never forces a deep enumeration.
+The paper's theorem is the comparison of that verdict with
+:func:`predicted_flag`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .enumeration import BudgetExceededError, StratumStore
+from .enumeration import StratumStore
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
 
 BCOMPLEX_SCHEMA = "bcomplex/1"
@@ -94,7 +95,7 @@ def boundary_complex(
     if max_dim is not None and not 0 <= max_dim <= sig.dim:
         raise ValueError(f"max_dim={max_dim} out of range 0..{sig.dim} for {sig}")
     table = store.divisors(sig)
-    vertices = table.keys()
+    vertices = tuple(table)
     index = {key: i for i, key in enumerate(vertices)}
     depth = min(sig.dim if max_dim is None else max_dim, len(vertices))
     faces: dict[int, frozenset[frozenset[int]]] = {}
@@ -105,7 +106,7 @@ def boundary_complex(
             frozenset(index[k] for k in support) for support in store.faces(sig, j)
         )
     _verify_downward_closed(faces)
-    return BoundaryComplex(sig, vertices, tuple(table.graphs.values()), faces)
+    return BoundaryComplex(sig, vertices, tuple(table.values()), faces)
 
 
 def _subfaces(faces: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
@@ -179,44 +180,12 @@ def flag_verdict(sig: GnSignature, store: StratumStore) -> tuple[bytes, ...] | N
     )
 
 
-# -- classification harness ---------------------------------------------------
+# -- classification -----------------------------------------------------------
 
 
 def predicted_flag(sig: GnSignature) -> bool:
     """The classification: flag iff g <= 1, n <= 1, or (g,n) = (2,2)."""
     return sig.g <= 1 or sig.n <= 1 or (sig.g, sig.n) == (2, 2)
-
-
-@dataclass(frozen=True)
-class TheoremVerdict:
-    signature: GnSignature
-    predicted: bool
-    computed: bool | None
-    witness: tuple[bytes, ...] | None
-
-    @property
-    def skipped(self) -> bool:
-        return self.computed is None
-
-    @property
-    def agree(self) -> bool | None:
-        if self.skipped:
-            return None
-        return self.predicted == self.computed
-
-
-def check_theorem(sig: GnSignature, store: StratumStore) -> TheoremVerdict:
-    """Compare the predicted flag verdict with the computed one.
-
-    A budget overflow during enumeration yields a skipped verdict, never a
-    silent pass.
-    """
-    predicted = predicted_flag(sig)
-    try:
-        witness = flag_verdict(sig, store)
-    except BudgetExceededError:
-        return TheoremVerdict(sig, predicted, None, None)
-    return TheoremVerdict(sig, predicted, witness is None, witness)
 
 
 # -- counterexample families ---------------------------------------------------

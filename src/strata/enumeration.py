@@ -75,12 +75,6 @@ class StratumSet:
     def __iter__(self) -> Iterator[DualGraph]:
         return iter(self.graphs.values())
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self.graphs
-
-    def keys(self) -> tuple[bytes, ...]:
-        return tuple(self.graphs)
-
     def to_json_obj(self) -> dict:
         return {
             "schema": STRATUMSET_SCHEMA,
@@ -297,10 +291,13 @@ class StratumStore:
             raise ValueError(f"k={k} out of range 1..{sig.dim} for {sig}")
         return self._level(sig, k)
 
-    def divisors(self, sig: GnSignature) -> StratumSet:
-        """The boundary divisors of ``sig``, read from its divisor table, within ``max_graphs``."""
+    def divisors(self, sig: GnSignature) -> Mapping[bytes, DualGraph]:
+        """The read-only divisor table of ``sig``, graph by key in key order, within ``max_graphs``.
+
+        Every store shares it; a representative need not be ``level(sig, 1)``'s.
+        """
         _check_divisor_budget(sig, self.max_graphs)
-        return StratumSet(sig, 1, _divisor_table(sig.g, sig.n)[0])
+        return _divisor_table(sig.g, sig.n)[0]
 
     def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:
         """The k-faces of the boundary complex with the strata realizing them.

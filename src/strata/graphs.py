@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -458,14 +457,14 @@ def _divisor_table(
 def _divisor_count(g: int, n: int) -> int:
     """The number of boundary divisors of (g, n), without building :func:`_divisor_table`.
 
-    The loop divisor (g >= 1), then the splits counted by the mark count
-    ``s`` of one side and the genus ``a`` in 0..g of that side.  The side
-    is unstable at ``a = 0`` if ``s < 2``, its complement at ``a = g`` if
-    ``n - s < 2``; at g = 0 the two never hold together, as n >= 3.  Each
-    split is counted from both of its sides, except the n = 0, a = g/2
-    split, which is its own swap.
+    The loop divisor (g >= 1), then the splits counted by the marks of one
+    side and the genus ``a`` in 0..g of that side: ``(g + 1) * 2**n`` of
+    them.  The side is unstable at ``a = 0`` with fewer than 2 marks, its
+    complement at ``a = g`` with more than n - 2, which drops ``n + 1`` each;
+    at g = 0 the two never hold together, as n >= 3.  Each split is counted
+    from both of its sides, except the n = 0, a = g/2 split, its own swap.
     """
-    ordered = sum(comb(n, s) * (g + 1 - (s < 2) - (n - s < 2)) for s in range(n + 1))
+    ordered = (g + 1 << n) - 2 * (n + 1)
     return (g >= 1) + (ordered + (n == 0 and g % 2 == 0)) // 2
 
 

@@ -11,7 +11,8 @@ off the graph.  The generation oracle builds every child of every parent,
 with no least-label rejection, and keys each one; the least-label oracle
 keys each child whose new edge has the least label, with no move classes.
 The divisor oracle keys every stable one-edge candidate graph instead of
-keying by description.
+keying by description, and the divisor-count oracle sums over mark counts
+where the library uses a closed form.
 The facet oracle tests every face against every face one size up.
 
 The rest are test-side forms of things the library does one way:
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from math import comb
 from typing import NamedTuple
 
 from strata import (
@@ -109,6 +111,17 @@ def oracle_divisors(g: int, n: int) -> dict[bytes, DualGraph]:
             if G.is_stable():
                 found.setdefault(canonical_key(G), G)
     return dict(sorted(found.items()))
+
+
+def oracle_divisor_count(g: int, n: int) -> int:
+    """Reference for ``graphs._divisor_count``: sum over the mark count ``s`` of one side.
+
+    A side of genus ``a`` in 0..g is unstable at ``a = 0`` if ``s < 2``, its
+    complement at ``a = g`` if ``n - s < 2``.  Each split is counted from
+    both sides, except the n = 0, a = g/2 split, which is its own swap.
+    """
+    ordered = sum(comb(n, s) * (g + 1 - (s < 2) - (n - s < 2)) for s in range(n + 1))
+    return (g >= 1) + (ordered + (n == 0 and g % 2 == 0)) // 2
 
 
 def oracle_split_children(G: DualGraph, v: int):

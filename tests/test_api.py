@@ -32,7 +32,6 @@ def test_no_public_store_parameter_has_a_default():
     with_store = [f for f in functions if "store" in inspect.signature(f).parameters]
     assert {f.__qualname__ for f in with_store} == {
         "boundary_complex",
-        "check_theorem",
         "divisor_set",
         "flag_verdict",
         "intersection_components",

@@ -418,15 +418,16 @@ def test_verify_grid_json(capsys):
 
 
 def test_verify_budget_exit(capsys):
-    code, _, _ = run(capsys, "verify", "--g", "0", "--n", "5", "--max-graphs", "3")
-    assert code == 3
-    code, out, _ = run(
-        capsys,
-        "verify", "--g", "0", "--n", "5", "--max-graphs", "3", "--skip-over-budget",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)[0]["skipped"] is True
+    """(0,4) fits a budget of 3 graphs and agrees; (0,5) is over it and skipped."""
+    argv = ("verify", "--g", "0", "--n", "4:5", "--max-graphs", "3", "--format", "json")
+    for extra, exit_code in (((), 3), (("--skip-over-budget",), 0)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == exit_code
+        fits, over = json.loads(out)
+        assert (fits["g"], fits["n"], over["g"], over["n"]) == (0, 4, 0, 5)
+        assert fits["computed"] is True and fits["agree"] is True and fits["skipped"] is False
+        assert over["computed"] is None and over["agree"] is None and over["witness"] is None
+        assert over["skipped"] is True
 
 
 def test_verify_negative_cells_report_witnesses(capsys):
@@ -438,7 +439,7 @@ def test_verify_negative_cells_report_witnesses(capsys):
 
 
 def test_verify_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("strata.complexes.predicted_flag", lambda sig: True)
+    monkeypatch.setattr("strata.cli.predicted_flag", lambda sig: True)
     code, out, _ = run(capsys, "verify", "--g", "2", "--n", "2:3", "--format", "json")
     assert code == 1
     assert [row["agree"] for row in json.loads(out)] == [True, False]

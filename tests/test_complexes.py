@@ -8,10 +8,8 @@ from strata import (
     BoundaryComplex,
     DivisorSet,
     GnSignature,
-    StratumStore,
     boundary_complex,
     canonical_key,
-    check_theorem,
     flag_verdict,
     high_genus,
     intersection_components,
@@ -299,7 +297,7 @@ def test_universal_degeneration_instances(store):
         sig = GnSignature(g, n)
         U = universal_degeneration(sig)
         assert U.total_genus == g and U.n == n and U.is_stable()
-        for D in store.divisors(sig):
+        for D in store.divisors(sig).values():
             assert is_degeneration(U, D)
 
 
@@ -331,19 +329,11 @@ def test_predictions():
 
 
 def test_check_theorem_cells(store):
+    """The theorem is the prediction against the computed verdict, cell by cell."""
     for g, n, expected in [(2, 2, True), (2, 3, False), (1, 4, True)]:
-        verdict = check_theorem(GnSignature(g, n), store)
-        assert verdict.predicted == expected
-        assert verdict.computed == expected
-        assert verdict.agree is True
+        sig = GnSignature(g, n)
+        witness = flag_verdict(sig, store)
+        assert predicted_flag(sig) == expected
+        assert (witness is None) == expected
         if not expected:
-            assert verdict.witness is not None
-            assert len(verdict.witness) >= 3
-
-
-def test_check_theorem_budget_skip():
-    tight = StratumStore(max_graphs=3)
-    verdict = check_theorem(GnSignature(0, 5), tight)
-    assert verdict.skipped
-    assert verdict.computed is None
-    assert verdict.agree is None
+            assert len(witness) >= 3

@@ -18,10 +18,17 @@ from strata import (
     two_vertex_divisor,
 )
 from strata.enumeration import _split_moves, _vertex_tables, children
-from strata.graphs import InvalidSignatureError, _divisor_table, _edge_sides, divisor_graph
+from strata.graphs import (
+    InvalidSignatureError,
+    _divisor_count,
+    _divisor_table,
+    _edge_sides,
+    divisor_graph,
+)
 from helpers import (
     least_is_last,
     least_label_level,
+    oracle_divisor_count,
     oracle_divisors,
     oracle_level,
     oracle_loop_children,
@@ -58,7 +65,7 @@ def test_divisors_of_dimension_zero_space_empty(store):
 def test_divisors_agree_with_level_one(store):
     for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 2), (3, 2)]:
         sig = GnSignature(g, n)
-        assert store.divisors(sig).keys() == store.level(sig, 1).keys()
+        assert tuple(store.divisors(sig)) == tuple(store.level(sig, 1).graphs)
 
 
 @pytest.mark.parametrize("sig,expected", sorted(FROZEN_COUNTS.items()))
@@ -96,8 +103,8 @@ def test_genus_zero_counts_match_closed_formulas(n):
 
 def test_displayed_codim2_strata_present(store):
     level = store.level(GnSignature(2, 3), 2)
-    assert canonical_key(chain([(1, (3,)), (0, (1, 2))], loop_at_end=True)) in level
-    assert canonical_key(chain([(1, (1, 2)), (0, (3,))], loop_at_end=True)) in level
+    assert canonical_key(chain([(1, (3,)), (0, (1, 2))], loop_at_end=True)) in level.graphs
+    assert canonical_key(chain([(1, (1, 2)), (0, (3,))], loop_at_end=True)) in level.graphs
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (0, 5)])
@@ -137,7 +144,7 @@ def test_smoothing_closure(store):
             below = store.level(sig, k - 1)
             for G in store.level(sig, k):
                 for e in range(G.num_edges):
-                    assert canonical_key(smooth(G, e)) in below
+                    assert canonical_key(smooth(G, e)) in below.graphs
 
 
 def test_level_requires_k_in_range(store):
@@ -168,10 +175,19 @@ def test_divisor_budget_is_checked_before_the_table_is_built():
 
 
 def test_divisor_budget_is_counted_without_a_loop_over_the_genus():
+    """Nor over the marks: the count is a closed form, so a huge g or n fails at once."""
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match=r"^level \(10000000,0\) k=1 exceeds budget"):
-        StratumStore(max_graphs=10).divisors(GnSignature(10**7, 0))
+    for sig in (GnSignature(10**7, 0), GnSignature(0, 10**4)):
+        message = rf"^level \({sig.g},{sig.n}\) k=1 exceeds budget"
+        with pytest.raises(BudgetExceededError, match=message):
+            StratumStore(max_graphs=10).divisors(sig)
     assert time.perf_counter() - start < 1.0
+
+
+def test_divisor_count_matches_the_summation_oracle():
+    for g in range(12):
+        for n in range(30):
+            assert _divisor_count(g, n) == oracle_divisor_count(g, n), (g, n)
 
 
 @pytest.mark.parametrize("g,n", GRID)
@@ -203,7 +219,7 @@ def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
         parents = [one_vertex(sig.g, sig.n)]
         for k in range(1, sig.dim + 1):
             level = store.level(sig, k)
-            assert level.keys() == tuple(oracle_level(parents)), (sig, k)
+            assert tuple(level.graphs) == tuple(oracle_level(parents)), (sig, k)
             parents = level
 
 
@@ -253,7 +269,7 @@ def test_levels_equal_least_label_oracle(store, g, n, top):
     for k in range(1, top + 1):
         level = store.level(sig, k)
         expected = least_label_level(parents)
-        assert level.keys() == tuple(expected), (sig, k)
+        assert tuple(level.graphs) == tuple(expected), (sig, k)
         for G, H in zip(level, expected.values()):
             assert G == H and G._sides == _edge_sides(H), (sig, k, G.describe())
         parents = level
@@ -306,13 +322,13 @@ def test_loaded_levels_give_cold_faces_on_acceptance_grid(tmp_path):
 
 
 def test_enumeration_deterministic():
-    a = StratumStore().level(GnSignature(2, 2), 2).keys()
-    b = StratumStore().level(GnSignature(2, 2), 2).keys()
+    a = tuple(StratumStore().level(GnSignature(2, 2), 2).graphs)
+    b = tuple(StratumStore().level(GnSignature(2, 2), 2).graphs)
     assert a == b
 
 
 def test_keys_are_sorted(store):
-    keys = store.level(GnSignature(2, 3), 2).keys()
+    keys = tuple(store.level(GnSignature(2, 3), 2).graphs)
     assert list(keys) == sorted(keys)
 
 
@@ -322,7 +338,7 @@ def test_keys_are_sorted(store):
 def test_cache_roundtrip(tmp_path):
     sig = GnSignature(2, 2)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = writer.level(sig, 2).keys()
+    expected = tuple(writer.level(sig, 2).graphs)
     path = tmp_path / "g2n2" / "k2.json"
     assert path.is_file()
     payload = json.loads(path.read_text())
@@ -330,19 +346,19 @@ def test_cache_roundtrip(tmp_path):
     assert payload["generator_version"] == "3"
     assert payload["k"] == 2
     reader = StratumStore(cache_dir=tmp_path)
-    assert reader.level(sig, 2).keys() == expected
+    assert tuple(reader.level(sig, 2).graphs) == expected
 
 
 def test_stale_cache_regenerated(tmp_path):
     sig = GnSignature(1, 2)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = writer.level(sig, 1).keys()
+    expected = tuple(writer.level(sig, 1).graphs)
     path = tmp_path / "g1n2" / "k1.json"
     payload = json.loads(path.read_text())
     payload["generator_version"] = "0"
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
-    assert reader.level(sig, 1).keys() == expected
+    assert tuple(reader.level(sig, 1).graphs) == expected
     assert json.loads(path.read_text())["generator_version"] == "3"
 
 
@@ -371,41 +387,41 @@ def test_generator_2_level_file_regenerated(tmp_path):
 def test_corrupt_cache_regenerated(tmp_path):
     sig = GnSignature(1, 1)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = writer.level(sig, 1).keys()
+    expected = tuple(writer.level(sig, 1).graphs)
     path = tmp_path / "g1n1" / "k1.json"
     path.write_text("{not json")
     reader = StratumStore(cache_dir=tmp_path)
-    assert reader.level(sig, 1).keys() == expected
+    assert tuple(reader.level(sig, 1).graphs) == expected
 
 
 @pytest.mark.parametrize("text", ["[]", "null", '"stratumset/1"', "3"])
 def test_non_object_cache_regenerated(tmp_path, text):
     """A level file whose JSON is not an object is damaged, not a crash."""
     sig = GnSignature(1, 4)
-    expected = StratumStore(cache_dir=tmp_path).level(sig, 3).keys()
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs)
     path = tmp_path / "g1n4" / "k3.json"
     path.write_text(text)
-    assert StratumStore(cache_dir=tmp_path).level(sig, 3).keys() == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs) == expected
     assert json.loads(path.read_text())["count"] == len(expected)
 
 
 def test_tampered_cache_regenerated(tmp_path):
     """A level file missing a graph fails its count and digest and is rebuilt."""
     sig = GnSignature(1, 4)
-    expected = StratumStore(cache_dir=tmp_path).level(sig, 3).keys()
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs)
     path = tmp_path / "g1n4" / "k3.json"
     payload = json.loads(path.read_text())
     del payload["graphs"][0]
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
-    assert reader.level(sig, 3).keys() == expected
+    assert tuple(reader.level(sig, 3).graphs) == expected
     assert len(json.loads(path.read_text())["graphs"]) == len(expected)
 
 
 def test_disconnected_cached_graph_regenerated(tmp_path):
     """Level files go through the validating constructor, not the trusted one."""
     sig = GnSignature(2, 2)
-    expected = StratumStore(cache_dir=tmp_path).level(sig, 2).keys()
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs)
     path = tmp_path / "g2n2" / "k2.json"
     payload = json.loads(path.read_text())
     # Two loops on a genus-0 vertex beside a genus-1 vertex with both legs:
@@ -421,20 +437,20 @@ def test_disconnected_cached_graph_regenerated(tmp_path):
     keys.append(canonical_key(DualGraph._trusted((0, 1), ((0, 0), (0, 0)), (1, 1))))
     payload.update(count=len(set(keys)), sha256=sha256(b"\n".join(sorted(set(keys)))).hexdigest())
     path.write_text(json.dumps(payload))
-    assert StratumStore(cache_dir=tmp_path).level(sig, 2).keys() == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs) == expected
     assert bad not in json.loads(path.read_text())["graphs"]
 
 
 @pytest.mark.parametrize("field", ["count", "sha256"])
 def test_cache_without_integrity_field_regenerated(tmp_path, field):
     sig = GnSignature(2, 2)
-    expected = StratumStore(cache_dir=tmp_path).level(sig, 2).keys()
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs)
     path = tmp_path / "g2n2" / "k2.json"
     payload = json.loads(path.read_text())
     assert payload["count"] == len(expected)
     del payload[field]
     path.write_text(json.dumps(payload))
-    assert StratumStore(cache_dir=tmp_path).level(sig, 2).keys() == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs) == expected
     assert field in json.loads(path.read_text())
 
 
@@ -460,7 +476,7 @@ def test_faces_group_level_by_support(store):
 
 def test_divisor_construction_covers_both_shapes(store):
     table = store.divisors(GnSignature(2, 2))
-    keys = set(table.keys())
+    keys = set(table)
     assert canonical_key(one_vertex(1, 2, loops=1)) in keys
     assert canonical_key(two_vertex_divisor(0, (1, 2), 2, ())) in keys
     assert canonical_key(two_vertex_divisor(1, (1, 2), 1, ())) in keys
@@ -477,7 +493,7 @@ def test_divisor_table_matches_candidate_oracle(store):
         except InvalidSignatureError:
             continue
         expected = oracle_divisors(g, n)
-        assert list(store.divisors(sig).graphs.items()) == list(expected.items()), sig
+        assert list(store.divisors(sig).items()) == list(expected.items()), sig
         by_description = _divisor_table(g, n)[1]
         assert sorted(by_description.values()) == list(expected), sig
         for description, key in by_description.items():
@@ -492,5 +508,5 @@ def test_divisor_table_matches_candidate_oracle(store):
 def test_divisor_table_is_shared_read_only(store):
     sig = GnSignature(2, 2)
     with pytest.raises(TypeError):
-        store.divisors(sig).graphs[b"x"] = one_vertex(2, 2)
+        store.divisors(sig)[b"x"] = one_vertex(2, 2)
     assert len(StratumStore().divisors(sig)) == 4

@@ -151,7 +151,7 @@ def test_intersection_k_beyond_dimension_rejected(store):
 def test_superset_search_agrees(store):
     sig = GnSignature(2, 2)
     table = store.level(sig, 1)
-    keys = list(table.keys())
+    keys = list(table.graphs)
     import itertools
 
     for size in (1, 2, 3):
@@ -164,7 +164,7 @@ def test_superset_search_agrees(store):
 def test_components_match_level_scan(store, g, n):
     """Face-map lookups equal a full scan of the level, components in order."""
     sig = GnSignature(g, n)
-    keys = store.level(sig, 1).keys()
+    keys = tuple(store.level(sig, 1).graphs)
     for size in range(2, min(sig.dim, 3) + 1):
         supports = level_supports(sig, size, store)
         for combo in combinations(keys, size):

@@ -300,7 +300,7 @@ def test_exact_matches_superset_search(store):
     cases = 0
     for g, n in [(1, 2), (1, 3), (2, 2), (0, 5), (0, 6)]:
         sig = GnSignature(g, n)
-        keys = list(store.level(sig, 1).keys())
+        keys = list(store.level(sig, 1).graphs)
         for size in range(1, min(sig.dim, 3) + 1):
             combos = list(combinations(keys, size))
             rng.shuffle(combos)

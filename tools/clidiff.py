@@ -23,9 +23,12 @@ only one of ``--g``/``--n`` given against files of another signature,
 ``intersect`` on a multi-edge graph that is no divisor (a genus-0 centre
 with eight genus-1 leaves), ``flag-check`` on a cache directory that cannot
 be written and on one whose name is too long to read (``ENAMETOOLONG``),
-``complex --max-dim 1`` with a budget below the divisor count,
+``complex --max-dim 1`` with a budget below the divisor count, and at
+(0,2000), whose divisor count alone exceeds the default budget,
 ``enumerate --g 1 --n 4 --k 3 --max-graphs 20`` (a generated level over
-budget), and ``--format dot`` on each command that does not render graphs.
+budget), ``verify --g 0 --n 4:5 --max-graphs 3`` in text and json, with and
+without ``--skip-over-budget`` (one cell in budget, one skipped), and
+``--format dot`` on each command that does not render graphs.
 Divisor keys are read from OLD's ``complex`` output, so both sides get the
 same arguments.
 """
@@ -178,6 +181,16 @@ def invocations(old: Path) -> list[list[str]]:
     calls += [
         ["complex", "--g", "0", "--n", "6", "--max-dim", "1", "--max-graphs", "5", "--format", f]
         for f in ("text", "json")
+    ]
+    calls += [
+        ["complex", "--g", "0", "--n", "2000", "--max-dim", "1", "--format", f]
+        for f in ("text", "json")
+    ]
+    # One cell in budget and one over it, skipped or not.
+    calls += [
+        ["verify", "--g", "0", "--n", "4:5", "--max-graphs", "3", "--format", f, *skip]
+        for f in ("text", "json")
+        for skip in ([], ["--skip-over-budget"])
     ]
     for argv in (
         ["enumerate", "--g", "1", "--n", "1", "--k", "1"],
