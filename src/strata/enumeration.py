@@ -44,6 +44,7 @@ from .graphs import (
     _divisor_table,
     _edge_sides,
     _root,
+    _shared,
     canonical_key,
     one_vertex,
 )
@@ -198,14 +199,15 @@ def _split_child(G: DualGraph, v: int, a1: int, mask: int, sides: tuple) -> Dual
         if w == v:
             legs[m], bit = (new if mask & bit else v), bit << 1
     edges = []
-    for i, j in G.edges:
+    for e in G.edges:  # an edge not moved keeps G's pair object
+        i, j = e
         if i == v:
             i, bit = (new if mask & bit else v), bit << 1
         if j == v:
             j, bit = (new if mask & bit else v), bit << 1
-        edges.append((i, j))
-    edges.append((v, new))
-    return DualGraph._trusted(tuple(genus), edges, tuple(legs), sides)
+        edges.append(e if i != new != j else _shared((j, i) if i > j else (i, j)))
+    edges.append(_shared((v, new)))
+    return DualGraph._trusted(tuple(genus), tuple(edges), tuple(legs), sides)
 
 
 def children(G: DualGraph) -> Iterator[DualGraph]:
@@ -229,7 +231,8 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
         if a > 1 or a == 1 and valence[v] > 0:
             genus = list(G.genus)
             genus[v] = a - 1
-            yield DualGraph._trusted(tuple(genus), G.edges + ((v, v),), G.legs, sides + (None,))
+            edges = G.edges + (_shared((v, v)),)
+            yield DualGraph._trusted(tuple(genus), edges, G.legs, sides + (None,))
 
 
 def _over_budget(

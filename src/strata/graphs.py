@@ -4,7 +4,8 @@ A :class:`DualGraph` records the combinatorial type of a nodal curve: one
 vertex per component (decorated with its geometric genus), one edge per node
 (loops allowed), and one numbered leg per marked point.  Everything here is
 an immutable value; the operations (smoothing, degeneration tests) return
-new graphs.
+new graphs.  Every graph holds the one :func:`_shared` tuple of each of its
+edge pairs and of its genus vector, so many graphs store each value once.
 
 Isomorphism fixes leg labels pointwise and may permute vertices and parallel
 edges.  :func:`canonical_key` assigns each isomorphism class a unique byte
@@ -38,6 +39,13 @@ GRAPH_SCHEMA = "dualgraph/1"
 # Signatures excluded even though 3g-3+n >= 0 would allow them.
 _NONEXISTENT = {(1, 0)}
 
+_SHARED: dict[tuple[int, ...], tuple[int, ...]] = {}  # exact ints only, as (True,) == (1,)
+
+
+def _shared(t: tuple[int, ...]) -> tuple[int, ...]:
+    """The one object of ``t``'s value that every graph holds (edge pairs and genus vectors)."""
+    return _SHARED.setdefault(t, t)
+
 
 class InvalidSignatureError(ValueError):
     """Raised when a (g, n) pair does not denote an existing moduli problem."""
@@ -51,6 +59,8 @@ class GnSignature:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.g) is not int or type(self.n) is not int:
+            raise InvalidSignatureError("genus and mark count must be integers")
         if self.g < 0 or self.n < 0:
             raise InvalidSignatureError(f"negative signature ({self.g},{self.n})")
         if 3 * self.g - 3 + self.n < 0 or (self.g, self.n) in _NONEXISTENT:
@@ -93,12 +103,9 @@ class DualGraph:
     _sides = None  # edge labels carried from a parent; see :func:`_edge_sides`
 
     def __post_init__(self) -> None:
-        genus = tuple(self.genus)
-        edges = tuple((i, j) if i <= j else (j, i) for i, j in self.edges)
-        legs = tuple(self.legs)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "legs", legs)
+        genus, legs, edges = tuple(self.genus), tuple(self.legs), [(i, j) for i, j in self.edges]
+        if not set(map(type, genus + legs + tuple(itertools.chain.from_iterable(edges)))) <= {int}:
+            raise ValueError("genera, edge ends and leg vertices must be integers")
         V = len(genus)
         if V < 1:
             raise ValueError("graph needs at least one vertex")
@@ -117,20 +124,25 @@ class DualGraph:
                 parent[ri] = rj
         if len({_root(parent, v) for v in range(V)}) != 1:
             raise ValueError("graph is not connected")
+        object.__setattr__(self, "genus", _shared(genus))
+        edges = tuple([_shared((i, j) if i <= j else (j, i)) for i, j in edges])
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
 
     @classmethod
-    def _trusted(cls, genus: tuple[int, ...], edges: Iterable, legs: tuple[int, ...],
-                 sides: tuple | None = None) -> DualGraph:
-        """Build without validation; edges are still normalised to ``i <= j``.
+    def _trusted(cls, genus: tuple[int, ...], edges: tuple[tuple[int, int], ...],
+                 legs: tuple[int, ...], sides: tuple | None = None) -> DualGraph:
+        """Build without validation; edges arrive normalised to ``i <= j`` and :func:`_shared`.
 
         Only for graphs made from a valid graph by a move that keeps it
         valid, such as a vertex split or an added loop.  Input read from
-        outside goes through the validating constructor.  ``sides`` are the
-        new graph's :func:`_edge_sides` labels, carried from its parent.
+        outside goes through the validating constructor.  The genus vector
+        is shared here.  ``sides`` are the new graph's :func:`_edge_sides`
+        labels, carried from its parent.
         """
         G = object.__new__(cls)  # attributes kept inline: vars(G) would give each graph a dict
-        object.__setattr__(G, "genus", genus)
-        object.__setattr__(G, "edges", tuple([(i, j) if i <= j else (j, i) for i, j in edges]))
+        object.__setattr__(G, "genus", _shared(genus))
+        object.__setattr__(G, "edges", edges)
         object.__setattr__(G, "legs", legs)
         object.__setattr__(G, "_sides", sides)
         return G
@@ -256,10 +268,7 @@ class DualGraph:
         n = len(leg_map)
         if set(leg_map) != {str(m) for m in range(1, n + 1)}:
             raise ValueError("legs must be labeled exactly 1..n")
-        legs = [leg_map[str(m)] for m in range(1, n + 1)]
-        if not set(map(type, genus + legs + list(itertools.chain.from_iterable(edges)))) <= {int}:
-            raise ValueError("genera, edge ends and leg vertices must be integers")
-        return cls(tuple(genus), tuple(edges), tuple(legs))
+        return cls(tuple(genus), tuple(edges), tuple(leg_map[str(m)] for m in range(1, n + 1)))
 
     @classmethod
     def from_json(cls, text: str) -> DualGraph:

@@ -285,15 +285,21 @@ def test_isomorphic_splits_of_one_vertex_yield_once():
 
 
 def test_carried_labels_equal_recomputed_on_acceptance_grid(store):
-    """Every generated representative carries its labels; a validated copy recomputes them."""
+    """Every generated representative carries its labels; a validated copy recomputes them.
+
+    The copy is built from a new genus list and reversed pairs, and normalises
+    and shares them: it holds the generated graph's own genus and pair objects.
+    """
     for g, n in GRID:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
             for G in store.level(sig, k):
-                fresh = DualGraph(G.genus, G.edges, G.legs)
+                fresh = DualGraph(list(G.genus), [(j, i) for i, j in G.edges], G.legs)
                 assert G._sides is not None and fresh._sides is None
                 carried = _edge_sides(G)
                 assert type(carried) is tuple and carried == _edge_sides(fresh), (sig, G.describe())
+                assert G.edges == fresh.edges and G.genus is fresh.genus, (sig, G.describe())
+                assert all(e is f for e, f in zip(G.edges, fresh.edges)), (sig, G.describe())
 
 
 def _face_keys(store, sig):

@@ -50,6 +50,26 @@ def test_rejects_bad_endpoints_and_legs():
         DualGraph((), (), ())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DualGraph((True,), (), (0,)),
+        lambda: DualGraph((1.0,), (), (0,)),
+        lambda: DualGraph((0, 0), ((0, True),), (0, 0, 1, 1)),
+        lambda: DualGraph((1,), (), (False,)),
+        lambda: GnSignature(1.5, 0),
+        lambda: GnSignature(2, True),
+    ],
+    ids=["bool-genus", "float-genus", "bool-edge-end", "bool-leg", "float-g", "bool-n"],
+)
+def test_non_integers_rejected_before_any_graph_shares_them(build):
+    """``(True,) == (1,)``: a bool or float let in would be the shared object of later graphs."""
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+    assert canonical_key(one_vertex(1, 1)) == b"g1;e;l0"
+    assert canonical_key(DualGraph((0, 0), ((1, 0),), (0, 0, 1, 1))) == b"g0,0;e0-1;l0,0,1,1"
+
+
 def test_edge_pairs_are_normalized_but_order_is_kept():
     G = DualGraph((0, 1), ((1, 0), (1, 1), (0, 1)), (0, 0, 0))
     assert G.edges == ((0, 1), (1, 1), (0, 1))
