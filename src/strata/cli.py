@@ -15,7 +15,6 @@ execution is sequential.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from itertools import combinations
@@ -34,6 +33,7 @@ from .enumeration import (
     DEFAULT_MAX_GRAPHS,
     BudgetExceededError,
     StratumStore,
+    _dumps,
 )
 from .graphs import (
     DualGraph,
@@ -60,10 +60,6 @@ def _emit_error(args: argparse.Namespace, code: str, message: str) -> None:
         print(_dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _witness_json(witness: tuple[bytes, ...] | None) -> dict | None:
@@ -99,7 +95,8 @@ def cmd_enumerate(args: argparse.Namespace, store: StratumStore) -> int:
     sig = GnSignature(args.g, args.n)
     level = store.level(sig, args.k)
     if args.format == "json":
-        print(_dumps(level.to_json_obj()))
+        level.write_json(sys.stdout)
+        print()
     elif args.format == "dot":
         for t, G in enumerate(level):
             print(_graph_dot(G, f"g{sig.g}n{sig.n}k{args.k}_{t}"))

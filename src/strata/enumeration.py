@@ -17,9 +17,11 @@ and representatives stay those of keying every least-label child.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
-as it lives and can mirror them to disk, one JSON file per (g, n, k).  A
-level over the store's ``max_graphs``, generated, loaded or (the divisors)
-counted, raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
+as it lives and can mirror them to disk, one JSON file per (g, n, k), which
+:meth:`StratumSet.write_json` writes one graph at a time, as it does
+``enumerate --format json``, so no whole-level tree is built.  A level over
+the store's ``max_graphs``, generated, loaded or (the divisors) counted,
+raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 try:
     # hashlib loads OpenSSL (about 3.6 MB of RSS); the built-in module is lean.
@@ -52,6 +54,7 @@ from .graphs import (
 GENERATOR_VERSION = "3"
 STRATUMSET_SCHEMA = "stratumset/1"
 DEFAULT_MAX_GRAPHS = 10**6
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class BudgetExceededError(RuntimeError):
@@ -76,15 +79,24 @@ class StratumSet:
     def __iter__(self) -> Iterator[DualGraph]:
         return iter(self.graphs.values())
 
-    def to_json_obj(self) -> dict:
-        return {
+    def write_json(self, fh: TextIO, **fields) -> None:
+        """Write the ``stratumset/1`` form with ``fields`` added, one graph at a time.
+
+        The bytes are ``_dumps`` of the whole object, which is never built.
+        """
+        head, tail = _dumps({
             "schema": STRATUMSET_SCHEMA,
             "generator_version": GENERATOR_VERSION,
             "g": self.signature.g,
             "n": self.signature.n,
             "k": self.edge_count,
-            "graphs": [G.to_json_obj() for G in self],
-        }
+            "graphs": [],
+            **fields,
+        }).split('"graphs":[]')
+        fh.write(head + '"graphs":[')
+        for t, G in enumerate(self):
+            fh.write("," * (t > 0) + _dumps(G.to_json_obj()))
+        fh.write("]" + tail)
 
 
 def _make_set(sig: GnSignature, k: int, found: dict[bytes, DualGraph]) -> StratumSet:
@@ -383,15 +395,12 @@ class StratumStore:
         path = self._path(level.signature, level.edge_count)
         if path is None:
             return
-        obj = level.to_json_obj()
-        obj.update(count=len(level), sha256=_digest(level))
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         tmp = None
         try:  # a cache that cannot be written is skipped, whatever the reason
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                level.write_json(fh, count=len(level), sha256=_digest(level))
             os.replace(tmp, path)
         except OSError:
             if tmp is not None and os.path.exists(tmp):

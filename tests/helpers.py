@@ -20,7 +20,9 @@ isomorphism is ``canonical_key`` equality, smoothing one edge is
 ``smooth_set`` of one edge, nonemptiness is ``intersection_components``,
 and :func:`flag_witness` runs the library's clique walk on a built complex
 where ``flag_verdict`` runs it on the store's face map.  :func:`to_json`
-is a graph's compact ``dualgraph/1`` text, the form the CLI reads.  The
+is a graph's compact ``dualgraph/1`` text, the form the CLI reads, and
+:func:`level_json` a level's ``stratumset/1`` text dumped as one object,
+where ``StratumSet.write_json`` writes it one graph at a time.  The
 genus-1 reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
 """
 
@@ -36,17 +38,32 @@ from strata import (
     DivisorSet,
     DualGraph,
     GnSignature,
+    StratumSet,
     StratumStore,
     canonical_key,
     divisor_set,
     intersection_components,
 )
 from strata.complexes import _flag_walk
+from strata.enumeration import GENERATOR_VERSION, STRATUMSET_SCHEMA
 from strata.graphs import _edge_sides, divisor_graph
 
 
 def to_json(G: DualGraph) -> str:
     return json.dumps(G.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def level_json(level: StratumSet, **fields) -> str:
+    obj = {
+        "schema": STRATUMSET_SCHEMA,
+        "generator_version": GENERATOR_VERSION,
+        "g": level.signature.g,
+        "n": level.signature.n,
+        "k": level.edge_count,
+        "graphs": [G.to_json_obj() for G in level],
+        **fields,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def raw(G: DualGraph) -> tuple:

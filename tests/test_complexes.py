@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -90,6 +91,19 @@ def test_genus_zero_five_marks(store):
     facets = C.facets()
     assert len(facets) == 15
     assert all(len(f) == 2 for f in facets)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_genus_zero_face_map_is_a_wedge_of_spheres(store, n):
+    """At g = 0 every intersection of divisors is one stratum, so the complex is Δ_{0,n}.
+
+    Δ_{0,n} is a wedge of (n-2)! spheres of dimension n-4, so its reduced
+    Euler characteristic is (-1)^(n-4) (n-2)!.  The f-vectors are (3),
+    (10,15), (25,105,105) and (56,490,1260,945).
+    """
+    f = boundary_complex(GnSignature(0, n), store).f_vector()
+    reduced_euler = -1 + sum((-1) ** j * f_j for j, f_j in enumerate(f))
+    assert reduced_euler == (-1) ** (n - 4) * factorial(n - 2), f
 
 
 def test_faces_downward_closed_explicitly(store):

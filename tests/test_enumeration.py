@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import time
+import tracemalloc
 from hashlib import sha256
 from math import comb, prod
 
@@ -28,6 +30,7 @@ from strata.graphs import (
 from helpers import (
     least_is_last,
     least_label_level,
+    level_json,
     oracle_divisor_count,
     oracle_divisors,
     oracle_level,
@@ -465,6 +468,38 @@ def test_budget_enforced_on_cached_levels(tmp_path):
     StratumStore(cache_dir=tmp_path).level(sig, 1)
     with pytest.raises(BudgetExceededError):
         StratumStore(cache_dir=tmp_path, max_graphs=3).level(sig, 1)
+
+
+def test_streamed_level_json_equals_whole_object_dump(store):
+    """``write_json`` gives the bytes of dumping the whole level object, with and without fields.
+
+    (0,10) k=1 has leg keys that sort as "1", "10", "2", ...
+    """
+    cells = [(GnSignature(g, n), k) for g, n in GRID for k in range(1, GnSignature(g, n).dim + 1)]
+    for sig, k in cells + [(GnSignature(0, 10), 1)]:
+        level = store.level(sig, k)
+        digest = sha256(b"\n".join(level.graphs)).hexdigest()
+        for fields in ({}, {"count": len(level), "sha256": digest}):
+            fh = io.StringIO()
+            level.write_json(fh, **fields)
+            assert fh.getvalue() == level_json(level, **fields), (sig, k, fields)
+
+
+def test_saving_a_level_builds_no_whole_level_transient(tmp_path):
+    """Saving (1,6) k=5 (6,780 graphs, a 0.88 MB file) peaks under 2 MB traced.
+
+    Dumping the whole level as one object peaked at 12.7 MB.
+    """
+    level = StratumStore().level(GnSignature(1, 6), 5)
+    writer = StratumStore(cache_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        writer._save(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "g1n6" / "k5.json").read_text())["count"] == len(level) == 6780
+    assert peak < 2_000_000, peak
 
 
 def test_faces_group_level_by_support(store):

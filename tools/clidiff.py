@@ -3,8 +3,10 @@
 Runs one fixed list of invocations against ``OLD/src`` and ``NEW/src``, each
 in a fresh interpreter with ``STRATA_CACHE_DIR`` unset (older checkouts read
 it) and its own empty working directory holding the fixture files the error
-cases read.  Exit code, stdout and stderr are compared; ``verify`` timings
-and the checkout's own path (which shows in tracebacks) are masked first.
+cases read.  Exit code, stdout, stderr and the files the invocation leaves in
+that directory (each by relative path and sha256, so level files written to a
+cache directory count) are compared; ``verify`` timings and the checkout's
+own path (which shows in tracebacks) are masked first.
 Each difference is printed, and the exit code is 1 if there is any.
 Standard library only.
 
@@ -16,7 +18,9 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 the first four divisors, on the cells below; ``enumerate --g 4 --n 0`` json
 at every k (legless graphs, rich in loops and parallel edges);
 ``flag-check`` and ``witness`` in text and json at (0,4) and (1,1), below
-dimension 2; ``paper-suite`` in text and json;
+dimension 2; ``paper-suite`` in text and json; ``flag-check --g 1 --n 4``
+and ``enumerate --g 2 --n 3 --k 4`` in json, each writing its levels to the
+new cache directory ``fresh``;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
@@ -44,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from hashlib import sha256
 from itertools import combinations
 from pathlib import Path
 
@@ -85,8 +90,12 @@ def _dim(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
-    """One invocation of ``strata.cli`` from ``checkout/src`` in a fresh working directory."""
+def run(checkout: Path, argv: list[str]) -> tuple[int, str, str, tuple[tuple[str, str], ...]]:
+    """One invocation of ``strata.cli`` from ``checkout/src`` in a fresh working directory.
+
+    Returns the exit code, stdout, stderr and, for each file left in that
+    directory, its relative path and sha256.
+    """
     env = {k: v for k, v in os.environ.items() if k != "STRATA_CACHE_DIR"}
     env["PYTHONPATH"] = str(checkout / "src")
     with tempfile.TemporaryDirectory() as cwd:
@@ -98,22 +107,27 @@ def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
             [sys.executable, "-m", "strata.cli", *argv],
             capture_output=True, text=True, cwd=cwd, env=env,
         )
+        files = tuple(
+            (path.relative_to(cwd).as_posix(), sha256(path.read_bytes()).hexdigest())
+            for path in sorted(Path(cwd).rglob("*"))
+            if path.is_file()
+        )
     out, err = result.stdout, result.stderr
     if argv[0] == "verify":
         out = re.sub(r'"seconds":[0-9.]+', '"seconds":T', out)
         out = re.sub(r"\b\d+\.\d\ds\b", "T.TTs", out)
     src = str(checkout.resolve() / "src")
-    return result.returncode, out.replace(src, "<src>"), err.replace(src, "<src>")
+    return result.returncode, out.replace(src, "<src>"), err.replace(src, "<src>"), files
 
 
 def invocations(old: Path) -> list[list[str]]:
     keys = {}
     for g, n in CELLS:
-        code, out, err = run(old, ["complex", "--g", str(g), "--n", str(n), "--format", "json"])
+        code, out, err, _ = run(old, ["complex", "--g", str(g), "--n", str(n), "--format", "json"])
         if code != 0:
             sys.exit(f"OLD complex ({g},{n}) failed with exit {code}: {err}")
         keys[g, n] = json.loads(out)["vertices"]
-    code, out, _ = run(old, ["enumerate", "--g", "2", "--n", "2", "--k", "2"])
+    code, out, _, _ = run(old, ["enumerate", "--g", "2", "--n", "2", "--k", "2"])
     not_divisor = out.split()[0]
 
     calls = []
@@ -140,6 +154,12 @@ def invocations(old: Path) -> list[list[str]]:
     ]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
+    # Level files written to an empty cache directory.
+    calls += [
+        ["flag-check", "--g", "1", "--n", "4", "--format", "json", "--cache-dir", "fresh"],
+        ["enumerate", "--g", "2", "--n", "3", "--k", "4", "--format", "json",
+         "--cache-dir", "fresh"],
+    ]
 
     # The error and edge cases of tests/test_cli.py.
     for f in ("text", "json"):
@@ -233,6 +253,8 @@ def main() -> int:
         for label, x, y in (("stdout", a[1], b[1]), ("stderr", a[2], b[2])):
             if x != y:
                 print(_diff(label, x, y))
+        if a[3] != b[3]:
+            print(_diff("files", *("\n".join(map(" ".join, r[3])) for r in (a, b))))
     print(
         f"{len(calls)} invocations, {differing} differ"
         f" (OLD {seconds['old']:.1f} s, NEW {seconds['new']:.1f} s)"
