@@ -10,7 +10,7 @@ from .complexes import (
     predicted_flag,
     universal_degeneration,
 )
-from .enumeration import BudgetExceededError, StratumSet, StratumStore
+from .enumeration import BudgetExceededError, StratumStore
 from .graphs import (
     DualGraph,
     GnSignature,
@@ -41,7 +41,6 @@ __all__ = [
     "GnSignature",
     "IntersectionReport",
     "InvalidSignatureError",
-    "StratumSet",
     "StratumStore",
     "boundary_complex",
     "canonical_key",

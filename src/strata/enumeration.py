@@ -17,11 +17,13 @@ and representatives stay those of keying every least-label child.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
-as it lives and can mirror them to disk, one JSON file per (g, n, k), which
-:meth:`StratumSet.write_json` writes one graph at a time, as it does
-``enumerate --format json``, so no whole-level tree is built.  A level over
-the store's ``max_graphs``, generated, loaded or (the divisors) counted,
-raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
+as it lives, each a read-only table of graphs by key in key order (as the
+divisor table is), and can mirror them to disk, one JSON file per (g, n, k),
+which :func:`_write_level` writes one graph at a time, as it does
+``enumerate --format json``, so no whole-level tree is built.  Level 0, the
+one-vertex graph, is not stored: it is the one parent of level 1.  A level
+over the store's ``max_graphs``, generated, loaded or (the divisors)
+counted, raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, TextIO
 
 try:
     # hashlib loads OpenSSL (about 3.6 MB of RSS); the built-in module is lean.
@@ -45,6 +47,7 @@ from .graphs import (
     _divisor_count,
     _divisor_table,
     _edge_sides,
+    _key_ordered,
     _root,
     _shared,
     canonical_key,
@@ -61,46 +64,26 @@ class BudgetExceededError(RuntimeError):
     """Raised when a level would exceed the configured graph budget."""
 
 
-@dataclass(frozen=True)
-class StratumSet:
-    """All stable dual graphs of one signature and edge count, up to isomorphism.
+def _write_level(
+    fh: TextIO, sig: GnSignature, k: int, level: Mapping[bytes, DualGraph], **fields
+) -> None:
+    """Write level ``k`` of ``sig`` as ``stratumset/1`` with ``fields``, one graph at a time.
 
-    ``graphs`` maps canonical key to one representative; iteration follows
-    key order.
+    The bytes are ``_dumps`` of the whole object, which is never built.
     """
-
-    signature: GnSignature
-    edge_count: int
-    graphs: Mapping[bytes, DualGraph]
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-    def __iter__(self) -> Iterator[DualGraph]:
-        return iter(self.graphs.values())
-
-    def write_json(self, fh: TextIO, **fields) -> None:
-        """Write the ``stratumset/1`` form with ``fields`` added, one graph at a time.
-
-        The bytes are ``_dumps`` of the whole object, which is never built.
-        """
-        head, tail = _dumps({
-            "schema": STRATUMSET_SCHEMA,
-            "generator_version": GENERATOR_VERSION,
-            "g": self.signature.g,
-            "n": self.signature.n,
-            "k": self.edge_count,
-            "graphs": [],
-            **fields,
-        }).split('"graphs":[]')
-        fh.write(head + '"graphs":[')
-        for t, G in enumerate(self):
-            fh.write("," * (t > 0) + _dumps(G.to_json_obj()))
-        fh.write("]" + tail)
-
-
-def _make_set(sig: GnSignature, k: int, found: dict[bytes, DualGraph]) -> StratumSet:
-    return StratumSet(sig, k, dict(sorted(found.items())))
+    head, tail = _dumps({
+        "schema": STRATUMSET_SCHEMA,
+        "generator_version": GENERATOR_VERSION,
+        "g": sig.g,
+        "n": sig.n,
+        "k": k,
+        "graphs": [],
+        **fields,
+    }).split('"graphs":[]')
+    fh.write(head + '"graphs":[')
+    for t, G in enumerate(level.values()):
+        fh.write("," * (t > 0) + _dumps(G.to_json_obj()))
+    fh.write("]" + tail)
 
 
 def _vertex_tables(G: DualGraph) -> tuple[list[int], list[int], list[int]]:
@@ -229,15 +212,16 @@ def children(G: DualGraph) -> Iterator[DualGraph]:
     edges keep ``G``'s labels, since smoothing commutes, so a split child is
     kept when its new label is ``None`` or at most ``G``'s least; the new
     edge of a loop child is a loop, labelled ``None``, so all are kept.
-    Each child carries its labels, ``G``'s and then its new edge's.
+    Each child carries its labels, ``G``'s and then its new edge's, which
+    is ``None`` or the :func:`_shared` tuple of its value.
     """
     sides, g = _edge_sides(G), G.total_genus
     # An edgeless G keeps every child: (g + 1, 0) is above every label.
     bound = None if None in sides else min(sides, default=(g + 1, 0))
-    tables, labels = _vertex_tables(G), _divisor_table(g, G.n)[2]
+    tables = _vertex_tables(G)
     for v in range(G.num_vertices):
         for a1, mask, label in _split_moves(G, v, bound, tables, g):
-            yield _split_child(G, v, a1, mask, sides + (labels[label],))
+            yield _split_child(G, v, a1, mask, sides + (label and _shared(label),))
     valence = tables[0]
     for v, a in enumerate(G.genus):  # a loop child trades one genus at v for a loop
         if a > 1 or a == 1 and valence[v] > 0:
@@ -261,19 +245,20 @@ def _check_divisor_budget(sig: GnSignature, max_graphs: int) -> None:
 
 
 def _generate_level(
-    sig: GnSignature, k: int, prev: StratumSet, max_graphs: int
-) -> StratumSet:
+    sig: GnSignature, k: int, parents: Iterable[DualGraph], max_graphs: int
+) -> Mapping[bytes, DualGraph]:
+    """Level ``k`` of ``sig`` from the children of ``parents``, the graphs of level ``k - 1``."""
     if k == 1:
-        _check_divisor_budget(sig, max_graphs)  # children() would build the table first
+        _check_divisor_budget(sig, max_graphs)  # _split_moves would first tabulate 2**n leg sets
     found: dict[bytes, DualGraph] = {}
-    for G in prev:
+    for G in parents:
         for child in children(G):
             key = canonical_key(child)
             if key not in found:
                 if len(found) >= max_graphs:
                     raise _over_budget(sig, k, max_graphs)
                 found[key] = child
-    return _make_set(sig, k, found)
+    return _key_ordered(found)
 
 
 class StratumStore:
@@ -295,13 +280,13 @@ class StratumStore:
             raise ValueError("max_graphs must be positive")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_graphs = max_graphs
-        self._levels: dict[tuple[int, int, int], StratumSet] = {}
+        self._levels: dict[tuple[int, int, int], Mapping[bytes, DualGraph]] = {}
         self._faces: dict[tuple[int, int, int], Mapping[frozenset[bytes], tuple]] = {}
 
     # -- public lookups ---------------------------------------------------
 
-    def level(self, sig: GnSignature, k: int) -> StratumSet:
-        """All k-edge stable graphs of ``sig``; requires 1 <= k <= dim."""
+    def level(self, sig: GnSignature, k: int) -> Mapping[bytes, DualGraph]:
+        """The read-only k-edge stable graphs of ``sig`` by key, in key order; 1 <= k <= dim."""
         if not 1 <= k <= sig.dim:
             raise ValueError(f"k={k} out of range 1..{sig.dim} for {sig}")
         return self._level(sig, k)
@@ -317,35 +302,33 @@ class StratumStore:
     def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:
         """The k-faces of the boundary complex with the strata realizing them.
 
-        Maps each set of k divisors with nonempty intersection to the k-edge
-        graphs whose one-edge smoothings are exactly those divisors, in key
-        order: the components of that intersection.
+        The read-only map takes each set of k divisors with nonempty
+        intersection to the k-edge graphs whose one-edge smoothings are
+        exactly those divisors, in key order: the components of that
+        intersection.
         """
         mem_key = (sig.g, sig.n, k)
         if mem_key not in self._faces:
             faces: dict[frozenset[bytes], tuple[DualGraph, ...]] = {}
-            for G in self.level(sig, k):
+            for G in self.level(sig, k).values():
                 support = G.delta_support()
                 if len(support) == k:
                     faces[support] = faces.get(support, ()) + (G,)
-            self._faces[mem_key] = faces
+            self._faces[mem_key] = MappingProxyType(faces)
         return self._faces[mem_key]
 
     # -- internals --------------------------------------------------------
 
-    def _level(self, sig: GnSignature, k: int) -> StratumSet:
+    def _level(self, sig: GnSignature, k: int) -> Mapping[bytes, DualGraph]:
         mem_key = (sig.g, sig.n, k)
         cached = self._levels.get(mem_key)
         if cached is not None:
             return cached
-        if k == 0:
-            G = one_vertex(sig.g, sig.n)
-            level = _make_set(sig, 0, {canonical_key(G): G})
-        else:
-            level = self._load(sig, k)
-            if level is None:
-                level = _generate_level(sig, k, self._level(sig, k - 1), self.max_graphs)
-                self._save(level)
+        level = self._load(sig, k)
+        if level is None:
+            parents = (one_vertex(sig.g, sig.n),) if k == 1 else self._level(sig, k - 1).values()
+            level = _generate_level(sig, k, parents, self.max_graphs)
+            self._save(sig, k, level)
         self._levels[mem_key] = level
         return level
 
@@ -354,7 +337,7 @@ class StratumStore:
             return None
         return self.cache_dir / f"g{sig.g}n{sig.n}" / f"k{k}.json"
 
-    def _load(self, sig: GnSignature, k: int) -> StratumSet | None:
+    def _load(self, sig: GnSignature, k: int) -> Mapping[bytes, DualGraph] | None:
         path = self._path(sig, k)
         if path is None:
             return None
@@ -382,7 +365,7 @@ class StratumStore:
                 ):
                     return None
                 found[canonical_key(G)] = G
-            level = _make_set(sig, k, found)
+            level = _key_ordered(found)
             if obj["count"] != len(level) or obj["sha256"] != _digest(level):
                 return None
         except (ValueError, KeyError, TypeError, OSError, RecursionError):
@@ -391,8 +374,8 @@ class StratumStore:
             raise _over_budget(sig, k, self.max_graphs, f" in {path}")
         return level
 
-    def _save(self, level: StratumSet) -> None:
-        path = self._path(level.signature, level.edge_count)
+    def _save(self, sig: GnSignature, k: int, level: Mapping[bytes, DualGraph]) -> None:
+        path = self._path(sig, k)
         if path is None:
             return
         tmp = None
@@ -400,13 +383,13 @@ class StratumStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                level.write_json(fh, count=len(level), sha256=_digest(level))
+                _write_level(fh, sig, k, level, count=len(level), sha256=_digest(level))
             os.replace(tmp, path)
         except OSError:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
 
-def _digest(level: StratumSet) -> str:
+def _digest(level: Mapping[bytes, DualGraph]) -> str:
     """SHA-256 of a level's keys in order, joined by newlines (keys are ASCII)."""
-    return sha256(b"\n".join(level.graphs)).hexdigest()
+    return sha256(b"\n".join(level)).hexdigest()

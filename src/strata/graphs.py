@@ -5,7 +5,8 @@ vertex per component (decorated with its geometric genus), one edge per node
 (loops allowed), and one numbered leg per marked point.  Everything here is
 an immutable value; the operations (smoothing, degeneration tests) return
 new graphs.  Every graph holds the one :func:`_shared` tuple of each of its
-edge pairs and of its genus vector, so many graphs store each value once.
+edge pairs, of its genus vector and of each edge label it carries, so many
+graphs store each value once.
 
 Isomorphism fixes leg labels pointwise and may permute vertices and parallel
 edges.  :func:`canonical_key` assigns each isomorphism class a unique byte
@@ -43,7 +44,7 @@ _SHARED: dict[tuple[int, ...], tuple[int, ...]] = {}  # exact ints only, as (Tru
 
 
 def _shared(t: tuple[int, ...]) -> tuple[int, ...]:
-    """The one object of ``t``'s value that every graph holds (edge pairs and genus vectors)."""
+    """The one object of ``t``'s value that graphs hold: edge pairs, genus vectors, labels."""
     return _SHARED.setdefault(t, t)
 
 
@@ -429,21 +430,24 @@ def _edge_sides(G: DualGraph) -> tuple[tuple[int, int] | None, ...]:
     return tuple(sides)
 
 
+def _key_ordered(found: Mapping[bytes, DualGraph]) -> Mapping[bytes, DualGraph]:
+    """A read-only copy of ``found`` in key order: a divisor table or a level."""
+    return MappingProxyType(dict(sorted(found.items())))
+
+
 @lru_cache(maxsize=16)
 def _divisor_table(
     g: int, n: int
-) -> tuple[Mapping[bytes, DualGraph], dict[tuple[int, int] | None, bytes], dict]:
-    """The boundary divisors of (g, n): graph by key in key order, key and label by description.
+) -> tuple[Mapping[bytes, DualGraph], dict[tuple[int, int] | None, bytes]]:
+    """The boundary divisors of (g, n): graph by key in key order, and key by description.
 
     Every stable :func:`divisor_graph` is a divisor: the loop graph, then
     each split (a, A) by a, |A| and A; the first candidate of each class
     represents it.  A divisor's description is the :func:`_edge_sides` label
     of its one edge, so a split and its swap share one.  The sides of a
     bridge in a stable graph are stable, so every edge of a stable graph
-    has its description here.  A label is the description itself, so the
-    labels that generated graphs carry hold one tuple per divisor.
-    The 16 signatures used last keep their table; every store shares it,
-    so the graph map is read-only.
+    has its description here.  The 16 signatures used last keep their
+    table; every store shares it, so the graph map is read-only.
     """
     graphs: dict[bytes, DualGraph] = {}
     keys: dict[tuple[int, int] | None, bytes] = {}
@@ -460,7 +464,7 @@ def _divisor_table(
             if description not in keys:
                 keys[description] = key = canonical_key(G)
                 graphs[key] = G
-    return MappingProxyType(dict(sorted(graphs.items()))), keys, {d: d for d in keys}
+    return _key_ordered(graphs), keys
 
 
 def _divisor_count(g: int, n: int) -> int:

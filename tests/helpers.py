@@ -14,6 +14,8 @@ The divisor oracle keys every stable one-edge candidate graph instead of
 keying by description, and the divisor-count oracle sums over mark counts
 where the library uses a closed form.
 The facet oracle tests every face against every face one size up.
+:func:`reduced_euler_characteristic` counts Δ_{g,n} over whole levels,
+to be compared with the theorems that give it.
 
 The rest are test-side forms of things the library does one way:
 isomorphism is ``canonical_key`` equality, smoothing one edge is
@@ -22,7 +24,7 @@ and :func:`flag_witness` runs the library's clique walk on a built complex
 where ``flag_verdict`` runs it on the store's face map.  :func:`to_json`
 is a graph's compact ``dualgraph/1`` text, the form the CLI reads, and
 :func:`level_json` a level's ``stratumset/1`` text dumped as one object,
-where ``StratumSet.write_json`` writes it one graph at a time.  The
+where ``enumeration._write_level`` writes it one graph at a time.  The
 genus-1 reduction (:func:`sigma`) maps tree-type (1, n) strata to (0, n+2).
 """
 
@@ -31,14 +33,13 @@ from __future__ import annotations
 import json
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from math import comb
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from strata import (
     BoundaryComplex,
     DivisorSet,
     DualGraph,
     GnSignature,
-    StratumSet,
     StratumStore,
     canonical_key,
     divisor_set,
@@ -46,21 +47,21 @@ from strata import (
 )
 from strata.complexes import _flag_walk
 from strata.enumeration import GENERATOR_VERSION, STRATUMSET_SCHEMA
-from strata.graphs import _edge_sides, divisor_graph
+from strata.graphs import _edge_sides, _leaves, _relabeled, divisor_graph
 
 
 def to_json(G: DualGraph) -> str:
     return json.dumps(G.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def level_json(level: StratumSet, **fields) -> str:
+def level_json(sig: GnSignature, k: int, level: Mapping[bytes, DualGraph], **fields) -> str:
     obj = {
         "schema": STRATUMSET_SCHEMA,
         "generator_version": GENERATOR_VERSION,
-        "g": level.signature.g,
-        "n": level.signature.n,
-        "k": level.edge_count,
-        "graphs": [G.to_json_obj() for G in level],
+        "g": sig.g,
+        "n": sig.n,
+        "k": k,
+        "graphs": [G.to_json_obj() for G in level.values()],
         **fields,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -424,6 +425,64 @@ def vertex_isomorphisms(G: DualGraph, H: DualGraph):
             yield perm
 
 
+def has_odd_automorphism(G: DualGraph) -> bool:
+    """Whether some automorphism of ``G`` permutes its edges by an odd permutation.
+
+    Two parallel edges, or two loops at one vertex, can be swapped alone.
+    Otherwise each vertex automorphism moves the edges one way.  The vertex
+    automorphisms are ``first⁻¹ ∘ leaf`` over the leaves of
+    ``graphs._leaves`` with the least encoding, ``first`` the first of them:
+    the search tree is invariant, so those leaves are ``first`` composed
+    with every automorphism.
+    """
+    if len(set(G.edges)) < G.num_edges:
+        return True
+    V = G.num_vertices
+    marks = [tuple(m + 1 for m, w in enumerate(G.legs) if w == v) for v in range(V)]
+    invariant = [(G.genus[v], G.valence(v), marks[v]) for v in range(V)]
+    rank = {x: r for r, x in enumerate(sorted(set(invariant)))}
+    nbrs: list[dict[int, int]] = [{} for _ in range(V)]
+    for i, j in G.edges:
+        nbrs[i][j] = nbrs[i].get(j, 0) + 1
+        if i != j:
+            nbrs[j][i] = nbrs[j].get(i, 0) + 1
+    leaves = list(_leaves([rank[x] for x in invariant], nbrs))
+    encodings = [_relabeled(G, leaf) for leaf in leaves]
+    first, *rest = [leaf for leaf, code in zip(leaves, encodings) if code == min(encodings)]
+    back = {c: v for v, c in enumerate(first)}
+    index = {e: t for t, e in enumerate(G.edges)}
+    for leaf in rest:
+        alpha = [back[c] for c in leaf]
+        image = [index[tuple(sorted((alpha[i], alpha[j])))] for i, j in G.edges]
+        cycles, seen = 0, set()
+        for t in range(G.num_edges):
+            if t not in seen:
+                cycles += 1
+                while t not in seen:
+                    seen.add(t)
+                    t = image[t]
+        if (G.num_edges - cycles) % 2:
+            return True
+    return False
+
+
+def reduced_euler_characteristic(sig: GnSignature, store: StratumStore) -> int:
+    """The reduced Euler characteristic of Δ_{g,n}, counted over the full levels.
+
+    Δ_{g,n} has one (k-1)-cell per k-edge stable graph, glued along
+    smoothings and divided by automorphisms.  In rational homology a graph
+    with an odd automorphism adds nothing, since its cell is identified with
+    itself reversed; every other k-edge graph adds (-1)^(k-1), and the empty
+    face -1.
+    """
+    return -1 + sum(
+        (-1) ** (k - 1)
+        for k in range(1, sig.dim + 1)
+        for G in store.level(sig, k).values()
+        if not has_odd_automorphism(G)
+    )
+
+
 def intersect_nonempty_superset(S: DivisorSet, store: StratumStore) -> bool:
     """Slow cross-check: does any stratum lie on every divisor of ``S``?
 
@@ -434,7 +493,7 @@ def intersect_nonempty_superset(S: DivisorSet, store: StratumStore) -> bool:
     sig = S.signature
     want = set(S.keys)
     for k in range(len(S), sig.dim + 1):
-        for G in store.level(sig, k):
+        for G in store.level(sig, k).values():
             if want <= G.delta_support():
                 return True
     return False
@@ -442,7 +501,7 @@ def intersect_nonempty_superset(S: DivisorSet, store: StratumStore) -> bool:
 
 def level_supports(sig: GnSignature, k: int, store: StratumStore) -> list[tuple]:
     """Every graph of level k with its divisor support, in level order."""
-    return [(G, G.delta_support()) for G in store.level(sig, k)]
+    return [(G, G.delta_support()) for G in store.level(sig, k).values()]
 
 
 def scan_components(S: DivisorSet, supports: list[tuple]) -> tuple[DualGraph, ...]:

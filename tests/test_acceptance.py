@@ -302,7 +302,7 @@ def test_criterion_9_enumeration_completeness(store):
             expected = oracle_strata(g, n, k)
             level = store.level(sig, k)
             assert len(level) == len(expected)
-            assert {oracle_canon(*raw(G)) for G in level} == set(expected)
+            assert {oracle_canon(*raw(G)) for G in level.values()} == set(expected)
             cells += 1
     elapsed = time.perf_counter() - start
     _line(9, True, f"brute-force agreement on {cells} cells; {elapsed:.2f}s")

@@ -47,7 +47,7 @@ def pool_levels(store):
     for (g, n), fewest in POOLS:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
-            graphs = [G for G in store.level(sig, k) if G.num_vertices >= fewest]
+            graphs = [G for G in store.level(sig, k).values() if G.num_vertices >= fewest]
             if graphs:
                 yield sig, k, graphs
 

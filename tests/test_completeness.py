@@ -33,7 +33,7 @@ def test_generator_matches_brute_force(store, g, n, k):
     expected = oracle_strata(g, n, k)
     level = store.level(sig, k)
     assert len(level) == len(expected)
-    got = {oracle_canon(*raw(G)) for G in level}
+    got = {oracle_canon(*raw(G)) for G in level.values()}
     assert got == set(expected)
 
 

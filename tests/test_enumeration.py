@@ -5,7 +5,8 @@ import json
 import time
 import tracemalloc
 from hashlib import sha256
-from math import comb, prod
+from math import comb, factorial, prod
+from types import MappingProxyType
 
 import pytest
 
@@ -16,15 +17,17 @@ from strata import (
     StratumStore,
     canonical_key,
     chain,
+    flag_verdict,
     one_vertex,
     two_vertex_divisor,
 )
-from strata.enumeration import _split_moves, _vertex_tables, children
+from strata.enumeration import _split_moves, _vertex_tables, _write_level, children
 from strata.graphs import (
     InvalidSignatureError,
     _divisor_count,
     _divisor_table,
     _edge_sides,
+    _shared,
     divisor_graph,
 )
 from helpers import (
@@ -38,6 +41,7 @@ from helpers import (
     oracle_move_class,
     oracle_split_children,
     raw,
+    reduced_euler_characteristic,
     smooth,
 )
 from test_acceptance import GRID
@@ -68,7 +72,7 @@ def test_divisors_of_dimension_zero_space_empty(store):
 def test_divisors_agree_with_level_one(store):
     for g, n in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 2), (3, 2)]:
         sig = GnSignature(g, n)
-        assert tuple(store.divisors(sig)) == tuple(store.level(sig, 1).graphs)
+        assert tuple(store.divisors(sig)) == tuple(store.level(sig, 1))
 
 
 @pytest.mark.parametrize("sig,expected", sorted(FROZEN_COUNTS.items()))
@@ -106,14 +110,14 @@ def test_genus_zero_counts_match_closed_formulas(n):
 
 def test_displayed_codim2_strata_present(store):
     level = store.level(GnSignature(2, 3), 2)
-    assert canonical_key(chain([(1, (3,)), (0, (1, 2))], loop_at_end=True)) in level.graphs
-    assert canonical_key(chain([(1, (1, 2)), (0, (3,))], loop_at_end=True)) in level.graphs
+    assert canonical_key(chain([(1, (3,)), (0, (1, 2))], loop_at_end=True)) in level
+    assert canonical_key(chain([(1, (1, 2)), (0, (3,))], loop_at_end=True)) in level
 
 
 @pytest.mark.parametrize("g,n", [(1, 2), (0, 5)])
 def test_top_codimension_strata_are_trivalent(store, g, n):
     sig = GnSignature(g, n)
-    for G in store.level(sig, sig.dim):
+    for G in store.level(sig, sig.dim).values():
         assert set(G.genus) == {0}
         assert all(G.valence(v) == 3 for v in range(G.num_vertices))
 
@@ -130,10 +134,41 @@ def test_top_level_of_g0_counts_trivalent_multigraphs(store, g, expected):
     assert len(store.level(sig, sig.dim)) == expected
 
 
+# The reduced Euler characteristic of Δ_{g,n}, from theorems, not this code:
+# Δ_{0,n} is a wedge of (n-2)! spheres of dimension n-4; Δ_{1,n} is
+# contractible for n <= 2 and a wedge of (n-1)!/2 spheres of dimension n-1
+# for n >= 3 (Chan-Galatius-Payne, arXiv 1903.07187); Δ_2 and Δ_4 have no
+# reduced rational homology, and Δ_3 has one class, in degree 5 (Chan-
+# Galatius-Payne, arXiv 1805.10186).
+EULER_CHARACTERISTICS = (
+    [(0, n, (-1) ** (n - 4) * factorial(n - 2)) for n in range(3, 8)]
+    + [(1, 1, 0), (1, 2, 0)]
+    + [(1, n, (-1) ** (n - 1) * factorial(n - 1) // 2) for n in range(3, 7)]
+    + [(2, 0, 0), (3, 0, -1), (4, 0, 0)]
+)
+
+
+@pytest.mark.parametrize("g,n,expected", EULER_CHARACTERISTICS)
+def test_levels_give_the_euler_characteristic_of_the_boundary_complex(store, g, n, expected):
+    """Every level of the cell, below the top one too, enters the count with its sign."""
+    assert reduced_euler_characteristic(GnSignature(g, n), store) == expected
+
+
+# All stable graphs of genus g without marks, one-vertex graph included
+# (Maggiolo-Pagani, arXiv 1012.4777).
+TOTAL_COUNTS = {2: 7, 3: 42, 4: 379, 5: 4555}
+
+
+@pytest.mark.parametrize("g,expected", sorted(TOTAL_COUNTS.items()))
+def test_levels_of_g0_sum_to_the_stable_graph_count(store, g, expected):
+    sig = GnSignature(g, 0)
+    assert 1 + sum(len(store.level(sig, k)) for k in range(1, sig.dim + 1)) == expected
+
+
 def test_every_level_matches_signature(store):
     sig = GnSignature(2, 2)
     for k in range(1, sig.dim + 1):
-        for G in store.level(sig, k):
+        for G in store.level(sig, k).values():
             assert G.total_genus == 2
             assert G.n == 2
             assert G.num_edges == k
@@ -145,9 +180,9 @@ def test_smoothing_closure(store):
         sig = GnSignature(g, n)
         for k in range(2, sig.dim + 1):
             below = store.level(sig, k - 1)
-            for G in store.level(sig, k):
+            for G in store.level(sig, k).values():
                 for e in range(G.num_edges):
-                    assert canonical_key(smooth(G, e)) in below.graphs
+                    assert canonical_key(smooth(G, e)) in below
 
 
 def test_level_requires_k_in_range(store):
@@ -212,7 +247,7 @@ def test_children_equal_validated_construction(store, g, n):
         for G in parents:
             for child in children(G):
                 assert child == DualGraph(child.genus, child.edges, child.legs)
-        parents = store.level(sig, k)
+        parents = store.level(sig, k).values()
 
 
 def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
@@ -222,8 +257,8 @@ def test_levels_equal_key_every_child_oracle_on_acceptance_grid(store):
         parents = [one_vertex(sig.g, sig.n)]
         for k in range(1, sig.dim + 1):
             level = store.level(sig, k)
-            assert tuple(level.graphs) == tuple(oracle_level(parents)), (sig, k)
-            parents = level
+            assert tuple(level) == tuple(oracle_level(parents)), (sig, k)
+            parents = level.values()
 
 
 def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
@@ -259,7 +294,7 @@ def test_new_edge_label_matches_edge_sides_on_acceptance_grid(store):
                 kept += [H for H in oracle_loop_children(G) if least_is_last(_edge_sides(H))]
                 assert list(children(G)) == kept, (sig, G.describe())
                 assert len({raw(H) for H in kept}) == len(kept), (sig, G.describe())
-            parents = store.level(sig, k)
+            parents = store.level(sig, k).values()
 
 
 @pytest.mark.parametrize(
@@ -272,10 +307,10 @@ def test_levels_equal_least_label_oracle(store, g, n, top):
     for k in range(1, top + 1):
         level = store.level(sig, k)
         expected = least_label_level(parents)
-        assert tuple(level.graphs) == tuple(expected), (sig, k)
-        for G, H in zip(level, expected.values()):
+        assert tuple(level) == tuple(expected), (sig, k)
+        for G, H in zip(level.values(), expected.values()):
             assert G == H and G._sides == _edge_sides(H), (sig, k, G.describe())
-        parents = level
+        parents = level.values()
 
 
 def test_isomorphic_splits_of_one_vertex_yield_once():
@@ -296,7 +331,7 @@ def test_carried_labels_equal_recomputed_on_acceptance_grid(store):
     for g, n in GRID:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
-            for G in store.level(sig, k):
+            for G in store.level(sig, k).values():
                 fresh = DualGraph(list(G.genus), [(j, i) for i, j in G.edges], G.legs)
                 assert G._sides is not None and fresh._sides is None
                 carried = _edge_sides(G)
@@ -316,28 +351,44 @@ def _face_keys(store, sig):
 def test_loaded_levels_give_cold_faces_on_acceptance_grid(tmp_path):
     """Loaded graphs carry no labels, so their supports are recomputed; the faces agree.
 
-    The cold store's graphs carry the divisor table's own descriptions, one tuple per divisor.
+    The cold store's graphs carry the :func:`_shared` labels, one tuple per divisor.
     """
     for g, n in GRID:
         sig = GnSignature(g, n)
         cold = StratumStore(cache_dir=tmp_path)
         expected = _face_keys(cold, sig)
-        labels = _divisor_table(g, n)[2]
         for k in range(1, sig.dim + 1):
-            assert all(side is labels[side] for G in cold.level(sig, k) for side in _edge_sides(G))
+            sides = [side for G in cold.level(sig, k).values() for side in _edge_sides(G)]
+            assert all(side is None or side is _shared(side) for side in sides), (sig, k)
         warm = StratumStore(cache_dir=tmp_path)
         assert _face_keys(warm, sig) == expected, sig
-        assert all(G._sides is None for k in range(1, sig.dim + 1) for G in warm.level(sig, k))
+        for k in range(1, sig.dim + 1):
+            assert all(G._sides is None for G in warm.level(sig, k).values()), (sig, k)
+
+
+def test_carried_labels_are_shared_across_divisor_table_rebuilds():
+    """A carried label is the one :func:`_shared` tuple of its value, across table evictions.
+
+    So graphs built before and after an eviction hold one label object per divisor.
+    """
+    sig, levels = GnSignature(2, 3), []
+    for _ in range(2):
+        _divisor_table.cache_clear()
+        levels.append(StratumStore().level(sig, 3))
+    assert tuple(levels[0]) == tuple(levels[1])
+    for first, second in zip(levels[0].values(), levels[1].values()):
+        for a, b in zip(first._sides, second._sides):
+            assert a is b and (a is None or a is _shared(a)), (first.describe(), a)
 
 
 def test_enumeration_deterministic():
-    a = tuple(StratumStore().level(GnSignature(2, 2), 2).graphs)
-    b = tuple(StratumStore().level(GnSignature(2, 2), 2).graphs)
+    a = tuple(StratumStore().level(GnSignature(2, 2), 2))
+    b = tuple(StratumStore().level(GnSignature(2, 2), 2))
     assert a == b
 
 
 def test_keys_are_sorted(store):
-    keys = tuple(store.level(GnSignature(2, 3), 2).graphs)
+    keys = tuple(store.level(GnSignature(2, 3), 2))
     assert list(keys) == sorted(keys)
 
 
@@ -347,7 +398,7 @@ def test_keys_are_sorted(store):
 def test_cache_roundtrip(tmp_path):
     sig = GnSignature(2, 2)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = tuple(writer.level(sig, 2).graphs)
+    expected = tuple(writer.level(sig, 2))
     path = tmp_path / "g2n2" / "k2.json"
     assert path.is_file()
     payload = json.loads(path.read_text())
@@ -355,19 +406,19 @@ def test_cache_roundtrip(tmp_path):
     assert payload["generator_version"] == "3"
     assert payload["k"] == 2
     reader = StratumStore(cache_dir=tmp_path)
-    assert tuple(reader.level(sig, 2).graphs) == expected
+    assert tuple(reader.level(sig, 2)) == expected
 
 
 def test_stale_cache_regenerated(tmp_path):
     sig = GnSignature(1, 2)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = tuple(writer.level(sig, 1).graphs)
+    expected = tuple(writer.level(sig, 1))
     path = tmp_path / "g1n2" / "k1.json"
     payload = json.loads(path.read_text())
     payload["generator_version"] = "0"
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
-    assert tuple(reader.level(sig, 1).graphs) == expected
+    assert tuple(reader.level(sig, 1)) == expected
     assert json.loads(path.read_text())["generator_version"] == "3"
 
 
@@ -378,7 +429,7 @@ def test_generator_2_level_file_regenerated(tmp_path):
     ones this generator stores; a warm read must not return them.
     """
     sig, k = GnSignature(1, 4), 3
-    expected = [G.to_json_obj() for G in StratumStore(cache_dir=tmp_path).level(sig, k)]
+    expected = [G.to_json_obj() for G in StratumStore(cache_dir=tmp_path).level(sig, k).values()]
     old = {canonical_key(one_vertex(sig.g, sig.n)): one_vertex(sig.g, sig.n)}
     for _ in range(k):
         old = oracle_level(old.values())
@@ -389,48 +440,48 @@ def test_generator_2_level_file_regenerated(tmp_path):
     assert payload["graphs"] != expected
     path.write_text(json.dumps(payload))
     level = StratumStore(cache_dir=tmp_path).level(sig, k)
-    assert [G.to_json_obj() for G in level] == expected
+    assert [G.to_json_obj() for G in level.values()] == expected
     assert json.loads(path.read_text())["generator_version"] == "3"
 
 
 def test_corrupt_cache_regenerated(tmp_path):
     sig = GnSignature(1, 1)
     writer = StratumStore(cache_dir=tmp_path)
-    expected = tuple(writer.level(sig, 1).graphs)
+    expected = tuple(writer.level(sig, 1))
     path = tmp_path / "g1n1" / "k1.json"
     path.write_text("{not json")
     reader = StratumStore(cache_dir=tmp_path)
-    assert tuple(reader.level(sig, 1).graphs) == expected
+    assert tuple(reader.level(sig, 1)) == expected
 
 
 @pytest.mark.parametrize("text", ["[]", "null", '"stratumset/1"', "3"])
 def test_non_object_cache_regenerated(tmp_path, text):
     """A level file whose JSON is not an object is damaged, not a crash."""
     sig = GnSignature(1, 4)
-    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs)
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3))
     path = tmp_path / "g1n4" / "k3.json"
     path.write_text(text)
-    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs) == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 3)) == expected
     assert json.loads(path.read_text())["count"] == len(expected)
 
 
 def test_tampered_cache_regenerated(tmp_path):
     """A level file missing a graph fails its count and digest and is rebuilt."""
     sig = GnSignature(1, 4)
-    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3).graphs)
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 3))
     path = tmp_path / "g1n4" / "k3.json"
     payload = json.loads(path.read_text())
     del payload["graphs"][0]
     path.write_text(json.dumps(payload))
     reader = StratumStore(cache_dir=tmp_path)
-    assert tuple(reader.level(sig, 3).graphs) == expected
+    assert tuple(reader.level(sig, 3)) == expected
     assert len(json.loads(path.read_text())["graphs"]) == len(expected)
 
 
 def test_disconnected_cached_graph_regenerated(tmp_path):
     """Level files go through the validating constructor, not the trusted one."""
     sig = GnSignature(2, 2)
-    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs)
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2))
     path = tmp_path / "g2n2" / "k2.json"
     payload = json.loads(path.read_text())
     # Two loops on a genus-0 vertex beside a genus-1 vertex with both legs:
@@ -446,20 +497,20 @@ def test_disconnected_cached_graph_regenerated(tmp_path):
     keys.append(canonical_key(DualGraph._trusted((0, 1), ((0, 0), (0, 0)), (1, 1))))
     payload.update(count=len(set(keys)), sha256=sha256(b"\n".join(sorted(set(keys)))).hexdigest())
     path.write_text(json.dumps(payload))
-    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs) == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2)) == expected
     assert bad not in json.loads(path.read_text())["graphs"]
 
 
 @pytest.mark.parametrize("field", ["count", "sha256"])
 def test_cache_without_integrity_field_regenerated(tmp_path, field):
     sig = GnSignature(2, 2)
-    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs)
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2))
     path = tmp_path / "g2n2" / "k2.json"
     payload = json.loads(path.read_text())
     assert payload["count"] == len(expected)
     del payload[field]
     path.write_text(json.dumps(payload))
-    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2).graphs) == expected
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2)) == expected
     assert field in json.loads(path.read_text())
 
 
@@ -471,18 +522,18 @@ def test_budget_enforced_on_cached_levels(tmp_path):
 
 
 def test_streamed_level_json_equals_whole_object_dump(store):
-    """``write_json`` gives the bytes of dumping the whole level object, with and without fields.
+    """``_write_level`` gives the bytes of dumping the whole level object, with and without fields.
 
     (0,10) k=1 has leg keys that sort as "1", "10", "2", ...
     """
     cells = [(GnSignature(g, n), k) for g, n in GRID for k in range(1, GnSignature(g, n).dim + 1)]
     for sig, k in cells + [(GnSignature(0, 10), 1)]:
         level = store.level(sig, k)
-        digest = sha256(b"\n".join(level.graphs)).hexdigest()
+        digest = sha256(b"\n".join(level)).hexdigest()
         for fields in ({}, {"count": len(level), "sha256": digest}):
             fh = io.StringIO()
-            level.write_json(fh, **fields)
-            assert fh.getvalue() == level_json(level, **fields), (sig, k, fields)
+            _write_level(fh, sig, k, level, **fields)
+            assert fh.getvalue() == level_json(sig, k, level, **fields), (sig, k, fields)
 
 
 def test_saving_a_level_builds_no_whole_level_transient(tmp_path):
@@ -494,7 +545,7 @@ def test_saving_a_level_builds_no_whole_level_transient(tmp_path):
     writer = StratumStore(cache_dir=tmp_path)
     tracemalloc.start()
     try:
-        writer._save(level)
+        writer._save(GnSignature(1, 6), 5, level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,7 +562,7 @@ def test_faces_group_level_by_support(store):
         assert all(G.delta_support() == support for G in graphs)
         assert [canonical_key(G) for G in graphs] == sorted(canonical_key(G) for G in graphs)
     grouped = sum(len(graphs) for graphs in faces.values())
-    distinct = sum(len(G.delta_support()) == 2 for G in store.level(sig, 2))
+    distinct = sum(len(G.delta_support()) == 2 for G in store.level(sig, 2).values())
     assert grouped == distinct
 
 
@@ -551,3 +602,24 @@ def test_divisor_table_is_shared_read_only(store):
     with pytest.raises(TypeError):
         store.divisors(sig)[b"x"] = one_vertex(2, 2)
     assert len(StratumStore().divisors(sig)) == 4
+
+
+def test_store_tables_are_read_only():
+    """A level, a face map and the divisor table cannot be changed through what the store returns.
+
+    Each is a mapping proxy: item assignment and deletion raise ``TypeError``
+    and it has no ``clear``.  So (2,3) keeps its size-3 pinwheel witness.
+    """
+    store, sig = StratumStore(), GnSignature(2, 3)
+    witness = flag_verdict(sig, store)
+    assert witness is not None and len(witness) == 3
+    for table in (store.level(sig, 2), store.faces(sig, 2), store.divisors(sig)):
+        assert type(table) is MappingProxyType
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = ()
+        with pytest.raises(TypeError):
+            del table[key]
+        with pytest.raises(AttributeError):
+            table.clear()
+    assert flag_verdict(sig, store) == witness

@@ -252,7 +252,7 @@ def test_delta_multiset_matches_oracle_on_acceptance_grid(store):
         sig = GnSignature(g, n)
         table = store.divisors(sig)
         for k in range(1, sig.dim + 1):
-            for G in store.level(sig, k):
+            for G in store.level(sig, k).values():
                 multiset = G.delta_multiset()
                 assert multiset == delta_multiset(G), (sig, k, G.describe())
                 assert all(key in table for key in multiset), (sig, k, G.describe())
@@ -329,6 +329,28 @@ def test_fewer_edges_never_degenerate_more():
     one_edge = two_vertex_divisor(1, (1, 2), 1, ())
     two_edges = chain([(1, (1, 2)), (0, ())], loop_at_end=True)
     assert not is_degeneration(one_edge, two_edges)
+
+
+def test_degeneration_to_a_divisor_is_support_membership_exhaustively(store):
+    """``is_degeneration`` to a divisor is membership in the divisor support, on every pair tried.
+
+    The graphs are those of levels 2 and 3 of the acceptance grid cells with
+    at most 12 divisors and of level 2 of (0,6), (1,5) and (2,4); each is
+    tried against every divisor of its cell.
+    """
+    cells = [
+        (GnSignature(g, n), k)
+        for g, n in GRID
+        if len(store.divisors(GnSignature(g, n))) <= 12
+        for k in (2, 3)
+        if k <= GnSignature(g, n).dim
+    ]
+    cells += [(GnSignature(g, n), 2) for g, n in [(0, 6), (1, 5), (2, 4)]]
+    for sig, k in cells:
+        for G in store.level(sig, k).values():
+            support = G.delta_support()
+            for key, D in store.divisors(sig).items():
+                assert is_degeneration(G, D) == (key in support), (sig, G.describe(), key)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_tree_type_matches_bridge_oracle(store):
     for g, n in [(1, 3), (2, 2)]:
         sig = GnSignature(g, n)
         for k in range(1, sig.dim + 1):
-            for G in store.level(sig, k):
+            for G in store.level(sig, k).values():
                 every_edge_bridges = all(
                     _disconnects(G, e) for e in range(G.num_edges)
                 )
@@ -142,7 +142,7 @@ def test_union_of_two_codim2_strata(store):
 
 def test_intersection_k_beyond_dimension_rejected(store):
     sig = GnSignature(0, 4)
-    pair = list(store.level(sig, 1))[:2]
+    pair = list(store.level(sig, 1).values())[:2]
     S = divisor_set(sig, pair, store)
     with pytest.raises(ValueError, match="dimension"):
         intersection_components(S, store)
@@ -150,8 +150,7 @@ def test_intersection_k_beyond_dimension_rejected(store):
 
 def test_superset_search_agrees(store):
     sig = GnSignature(2, 2)
-    table = store.level(sig, 1)
-    keys = list(table.graphs)
+    keys = list(store.level(sig, 1))
     import itertools
 
     for size in (1, 2, 3):
@@ -164,7 +163,7 @@ def test_superset_search_agrees(store):
 def test_components_match_level_scan(store, g, n):
     """Face-map lookups equal a full scan of the level, components in order."""
     sig = GnSignature(g, n)
-    keys = tuple(store.level(sig, 1).graphs)
+    keys = tuple(store.level(sig, 1))
     for size in range(2, min(sig.dim, 3) + 1):
         supports = level_supports(sig, size, store)
         for combo in combinations(keys, size):
@@ -226,7 +225,7 @@ def test_sigma_inverse_requires_shared_vertex():
 def _tree_strata(sig, store):
     out = []
     for k in range(1, sig.dim + 1):
-        out.extend(G for G in store.level(sig, k) if is_tree_type(G))
+        out.extend(G for G in store.level(sig, k).values() if is_tree_type(G))
     return out
 
 
@@ -243,7 +242,7 @@ def test_sigma_roundtrip_and_image(n, store):
     target = GnSignature(0, n + 2)
     expected = set()
     for k in range(1, target.dim + 1):
-        for H in store.level(target, k):
+        for H in store.level(target, k).values():
             if H.legs[-1] == H.legs[-2]:
                 expected.add(canonical_key(H))
     assert image_keys == expected
@@ -252,12 +251,12 @@ def test_sigma_roundtrip_and_image(n, store):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sigma_divisor_count_matches(n, store):
     sig = GnSignature(1, n)
-    tree_divisors = [G for G in store.level(sig, 1)] if sig.dim >= 1 else []
+    tree_divisors = [G for G in store.level(sig, 1).values()] if sig.dim >= 1 else []
     tree_divisors = [G for G in tree_divisors if is_tree_type(G)]
     target = GnSignature(0, n + 2)
     together = [
         H
-        for H in (store.level(target, 1) if target.dim >= 1 else [])
+        for H in (store.level(target, 1).values() if target.dim >= 1 else [])
         if H.legs[-1] == H.legs[-2]
     ]
     assert len(tree_divisors) == len(together)

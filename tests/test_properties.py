@@ -41,7 +41,7 @@ def build_pool(store) -> list[DualGraph]:
         sig = GnSignature(g, n)
         top = min(sig.dim, LEVEL_CAP.get((g, n), sig.dim))
         for k in range(1, top + 1):
-            graphs.extend(store.level(sig, k))
+            graphs.extend(store.level(sig, k).values())
     return graphs
 
 
@@ -186,7 +186,7 @@ def test_unique_realization_of_divisor_collections(store):
             sig = GnSignature(g, n)
             for k in range(1, sig.dim + 1):
                 groups: dict[frozenset, list[DualGraph]] = {}
-                for G in store.level(sig, k):
+                for G in store.level(sig, k).values():
                     scoped = g == 0 or is_tree_type(G)
                     if scoped:
                         support = G.delta_support()
@@ -202,7 +202,7 @@ def _tree_strata(sig: GnSignature, store) -> list[DualGraph]:
     return [
         G
         for k in range(1, sig.dim + 1)
-        for G in store.level(sig, k)
+        for G in store.level(sig, k).values()
         if is_tree_type(G)
     ]
 
@@ -227,7 +227,7 @@ def test_genus_one_reduction_suite(store):
         expected = {
             canonical_key(H)
             for k in range(1, target.dim + 1)
-            for H in store.level(target, k)
+            for H in store.level(target, k).values()
             if H.legs[-1] == H.legs[-2]
         }
         assert image == expected
@@ -243,7 +243,7 @@ def test_genus_one_reduction_suite(store):
     for n in (2, 3):
         sig = GnSignature(1, n)
         target_dim = GnSignature(0, n + 2).dim
-        tree_divisors = [G for G in store.level(sig, 1) if is_tree_type(G)]
+        tree_divisors = [G for G in store.level(sig, 1).values() if is_tree_type(G)]
         for size in range(1, min(sig.dim, target_dim) + 1):
             for combo in combinations(tree_divisors, size):
                 S = divisor_set(sig, list(combo), store)
@@ -273,7 +273,7 @@ def test_loop_divisor_meets_every_stratum(store):
         sig = GnSignature(1, n)
         loop_key = canonical_key(one_vertex(0, n, loops=1))
         for k in range(1, sig.dim + 1):
-            for G in store.level(sig, k):
+            for G in store.level(sig, k).values():
                 keys = G.delta_support() | {loop_key}
                 S = DivisorSet(sig, tuple(keys))
                 assert intersect_nonempty(S, store)
@@ -287,8 +287,7 @@ def test_one_edge_degeneration_iff_delta_support(pool, store):
     candidates = [G for G in pool if G.num_edges >= 1]
     for _ in range(CASES):
         G = rng.choice(candidates)
-        table = store.level(G.signature, 1)
-        H = rng.choice(list(table))
+        H = rng.choice(list(store.level(G.signature, 1).values()))
         assert is_degeneration(G, H) == (canonical_key(H) in G.delta_support())
 
 
@@ -300,7 +299,7 @@ def test_exact_matches_superset_search(store):
     cases = 0
     for g, n in [(1, 2), (1, 3), (2, 2), (0, 5), (0, 6)]:
         sig = GnSignature(g, n)
-        keys = list(store.level(sig, 1).graphs)
+        keys = list(store.level(sig, 1))
         for size in range(1, min(sig.dim, 3) + 1):
             combos = list(combinations(keys, size))
             rng.shuffle(combos)
