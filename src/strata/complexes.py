@@ -13,10 +13,10 @@ the first non-face clique encountered is a minimal witness (smallest size,
 then lexicographic in canonical-key order).  The verdict is that witness,
 a sorted tuple of divisor keys, or ``None`` for a flag complex: its
 divisors meet pairwise, being a clique, but not all together, being no
-face.  :func:`flag_verdict` tests cliques against the store's face map,
-one level at a time, so a small witness never forces a deep enumeration.
-The paper's theorem is the comparison of that verdict with
-:func:`predicted_flag`.
+face.  :func:`flag_verdict` looks each clique up in the store's face map,
+whose keys are such sorted tuples, one level at a time, so a small witness
+never forces a deep enumeration.  The paper's theorem is the comparison of
+that verdict with :func:`predicted_flag`.
 """
 
 from __future__ import annotations
@@ -130,18 +130,18 @@ def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> N
 
 
 def _flag_walk(
-    edges: Iterable[frozenset[bytes]],
-    is_face: Callable[[frozenset[bytes]], bool],
+    edges: Iterable[Iterable[bytes]],
+    is_face: Callable[[tuple[bytes, ...]], bool],
     cap: int,
 ) -> tuple[bytes, ...] | None:
     """The least non-face clique of the 1-skeleton spanned by ``edges``, or ``None``.
 
-    Vertices and faces are divisor keys.  Cliques of size j+1 are
-    extensions of size-j cliques by a key above their maximum, so each
-    clique is generated once; a level is extended only after every clique
-    in it proved to be a face, which makes the first failure minimal by
-    size, and the lexicographically least failure is the witness.  Cliques
-    larger than ``cap`` cannot be faces.
+    Vertices are divisor keys, and ``is_face`` receives each clique as the
+    sorted tuple of its keys.  Cliques of size j+1 are extensions of size-j
+    cliques by a key above their maximum, so each clique is generated once;
+    a level is extended only after every clique in it proved to be a face,
+    which makes the first failure minimal by size, and the lexicographically
+    least failure is the witness.  Cliques larger than ``cap`` cannot be faces.
     """
     cliques = sorted(tuple(sorted(edge)) for edge in edges)
     adjacency: dict[bytes, set[bytes]] = {}
@@ -157,7 +157,7 @@ def _flag_walk(
                 if w <= c[-1]:
                     continue
                 nc = c + (w,)
-                if len(nc) <= cap and is_face(frozenset(nc)):
+                if len(nc) <= cap and is_face(nc):
                     next_level.append(nc)
                 else:
                     nonfaces.append(nc)

@@ -17,13 +17,13 @@ and representatives stay those of keying every least-label child.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
-as it lives, each a read-only table of graphs by key in key order (as the
-divisor table is), and can mirror them to disk, one JSON file per (g, n, k),
-which :func:`_write_level` writes one graph at a time, as it does
-``enumerate --format json``, so no whole-level tree is built.  Level 0, the
-one-vertex graph, is not stored: it is the one parent of level 1.  A level
-over the store's ``max_graphs``, generated, loaded or (the divisors)
-counted, raises the one :class:`BudgetExceededError` of :func:`_over_budget`.
+as it lives, each a read-only table in key order, like the divisor table
+and the face maps (keyed by sorted tuples of divisor keys).  It can mirror
+levels to disk, one JSON file per (g, n, k), which :func:`_write_level`
+writes one graph at a time, as ``enumerate --format json`` does, so no
+whole-level tree is built.  Level 0, the one-vertex graph, is not stored:
+it is the one parent of level 1.  A level over ``max_graphs``, generated,
+loaded or (the divisors) counted, raises :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class StratumStore:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_graphs = max_graphs
         self._levels: dict[tuple[int, int, int], Mapping[bytes, DualGraph]] = {}
-        self._faces: dict[tuple[int, int, int], Mapping[frozenset[bytes], tuple]] = {}
+        self._faces: dict[tuple[int, int, int], Mapping[tuple[bytes, ...], tuple]] = {}
 
     # -- public lookups ---------------------------------------------------
 
@@ -299,19 +299,19 @@ class StratumStore:
         _check_divisor_budget(sig, self.max_graphs)
         return _divisor_table(sig.g, sig.n)[0]
 
-    def faces(self, sig: GnSignature, k: int) -> Mapping[frozenset[bytes], tuple[DualGraph, ...]]:
+    def faces(self, sig: GnSignature, k: int) -> Mapping[tuple[bytes, ...], tuple[DualGraph, ...]]:
         """The k-faces of the boundary complex with the strata realizing them.
 
-        The read-only map takes each set of k divisors with nonempty
-        intersection to the k-edge graphs whose one-edge smoothings are
-        exactly those divisors, in key order: the components of that
+        The read-only map takes each sorted k-tuple of divisor keys with
+        nonempty intersection to the k-edge graphs whose one-edge smoothings
+        are exactly those divisors, in key order: the components of that
         intersection.
         """
         mem_key = (sig.g, sig.n, k)
         if mem_key not in self._faces:
-            faces: dict[frozenset[bytes], tuple[DualGraph, ...]] = {}
+            faces: dict[tuple[bytes, ...], tuple[DualGraph, ...]] = {}
             for G in self.level(sig, k).values():
-                support = G.delta_support()
+                support = tuple(sorted(G.delta_support()))
                 if len(support) == k:
                     faces[support] = faces.get(support, ()) + (G,)
             self._faces[mem_key] = MappingProxyType(faces)

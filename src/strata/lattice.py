@@ -4,10 +4,10 @@ A set of k distinct boundary divisors meets in a (possibly empty) union of
 codimension-k strata; because the boundary has normal crossings, those
 strata are exactly the k-edge stable graphs whose one-edge smoothings are
 pairwise distinct and realize the given divisor set.  That geometric fact
-is taken as an assumption, so an intersection is a lookup in the face map
-(:meth:`StratumStore.faces`) of the store the caller passes.  The test
-suite cross-checks it against a superset-style search over all edge counts
-and against a plain scan of level k.
+is taken as an assumption, so an intersection is a lookup of the set's
+sorted keys in the face map (:meth:`StratumStore.faces`) of the store the
+caller passes.  The test suite cross-checks it against a superset-style
+search over all edge counts and against a plain scan of level k.
 """
 
 from __future__ import annotations
@@ -99,4 +99,4 @@ def intersection_components(S: DivisorSet, store: StratumStore) -> IntersectionR
     k = len(S)
     if k > sig.dim:
         raise ValueError(f"{k} divisors exceed the dimension {sig.dim} of {sig}")
-    return IntersectionReport(S, store.faces(sig, k).get(frozenset(S.keys), ()))
+    return IntersectionReport(S, store.faces(sig, k).get(S.keys, ()))

@@ -544,7 +544,7 @@ def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
         raise ValueError(f"complex truncated at max_dim={depth}; it has no 1-skeleton")
     index = {key: i for i, key in enumerate(C.vertices)}
 
-    def face_test(face: frozenset[bytes]) -> bool:
+    def face_test(face: tuple[bytes, ...]) -> bool:
         if len(face) > depth:
             raise ValueError(
                 f"complex truncated at max_dim={depth}; "
