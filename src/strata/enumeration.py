@@ -44,6 +44,7 @@ except ImportError:
 from .graphs import (
     DualGraph,
     GnSignature,
+    _bridge_label,
     _divisor_count,
     _divisor_table,
     _edge_sides,
@@ -171,8 +172,7 @@ def _split_moves(
                     label = None
                     break
             else:
-                # The bridge label of graphs._edge_sides, kept inline for speed.
-                label = min(((W + 1) // 2, M), (g - (W + 1) // 2, full ^ M))
+                label = _bridge_label(W, M, g, full)
                 if bound is None or label > bound:
                     continue
             if twins:

@@ -6,16 +6,21 @@ generation is a filter over all multigraphs, and deduplication minimizes
 over vertex bijections directly.  The intersection oracles read enumerated
 levels but not the store's face map: one searches every edge count for a
 graph lying on all divisors, the other scans a whole level.  The delta
-oracle builds and keys each one-edge smoothing instead of reading divisors
-off the graph.  The generation oracle builds every child of every parent,
-with no least-label rejection, and keys each one; the least-label oracle
-keys each child whose new edge has the least label, with no move classes.
+oracle (:func:`delta_multiset`) builds and keys each one-edge smoothing,
+one per edge, instead of reading divisors off the graph.  The generation
+oracle builds every child of every parent, with no least-label rejection,
+and keys each one; the least-label oracle keys each child whose new edge
+has the least label, with no move classes.
 The divisor oracle keys every stable one-edge candidate graph instead of
 keying by description, and the divisor-count oracle sums over mark counts
 where the library uses a closed form.
 The facet oracle tests every face against every face one size up.
 :func:`reduced_euler_characteristic` counts Δ_{g,n} over whole levels,
-to be compared with the theorems that give it.
+to be compared with the theorems that give it.  :func:`tree_chain` builds
+the trees of a cell with no key computed, keeping a tree's child when its
+new bridge label is below all of the parent's; at g >= 1 their supports
+are the faces without the irreducible divisor, over which the complex is a
+cone.
 
 The rest are test-side forms of things the library does one way:
 isomorphism is ``canonical_key`` equality, smoothing one edge is
@@ -44,9 +49,10 @@ from strata import (
     canonical_key,
     divisor_set,
     intersection_components,
+    one_vertex,
 )
 from strata.complexes import _flag_walk
-from strata.enumeration import GENERATOR_VERSION, STRATUMSET_SCHEMA
+from strata.enumeration import GENERATOR_VERSION, STRATUMSET_SCHEMA, children
 from strata.graphs import _edge_sides, _leaves, _relabeled, divisor_graph
 
 
@@ -103,7 +109,7 @@ def delta(G: DualGraph, edge_id: int) -> DualGraph:
 
 
 def delta_multiset(G: DualGraph) -> tuple[bytes, ...]:
-    """Reference for ``DualGraph.delta_multiset``: key every one-edge smoothing."""
+    """Key every one-edge smoothing, one per edge, sorted; its set is ``delta_support``."""
     if G.num_edges == 0:
         raise ValueError("delta multiset of an edgeless graph")
     return tuple(sorted(canonical_key(delta(G, e)) for e in range(G.num_edges)))
@@ -481,6 +487,30 @@ def reduced_euler_characteristic(sig: GnSignature, store: StratumStore) -> int:
         for G in store.level(sig, k).values()
         if not has_odd_automorphism(G)
     )
+
+
+def tree_chain(g: int, n: int) -> list[list[DualGraph]]:
+    """The trees of (g, n) by edge count, from the distinct-label chain, with no key computed.
+
+    Level 0 is ``one_vertex(g, n)``.  A child of a tree is kept when it is a
+    tree and its new edge's label (carried, last in ``_sides``) is a bridge
+    label strictly below the parent's least label, so every tree's labels
+    are distinct.  Smoothing a tree's least-label edge gives a tree that one
+    split undoes, so each stable tree appears; the levels end at the first
+    empty one, which is not returned.
+    """
+    levels = [[one_vertex(g, n)]]
+    while True:
+        level = []
+        for G in levels[-1]:
+            least = min(_edge_sides(G), default=(g + 1, 0))
+            for C in children(G):
+                label = C._sides[-1]
+                if C.num_edges < C.num_vertices and label is not None and label < least:
+                    level.append(C)
+        if not level:
+            return levels
+        levels.append(level)
 
 
 def intersect_nonempty_superset(S: DivisorSet, store: StratumStore) -> bool:

@@ -36,6 +36,7 @@ from strata import (
 )
 import test_properties as props
 from helpers import (
+    delta_multiset,
     flag_witness,
     intersect_nonempty,
     is_isomorphic,
@@ -177,12 +178,15 @@ def test_criterion_3_m12_parallel_edges(store):
     from strata import DualGraph
 
     G = DualGraph((0, 0), ((0, 1), (0, 1)), (0, 1))
-    multiset = G.delta_multiset()
+    multiset = delta_multiset(G)
     support = G.delta_support()
     elapsed = time.perf_counter() - start
-    ok = len(multiset) == 2 and len(support) == 1 and elapsed < 1.0
+    same = len(multiset) == 2 and multiset[0] == multiset[1] and set(multiset) == support
+    ok = same and len(support) == 1 and elapsed < 1.0
     _line(3, ok, f"M12 parallel-edge divisor multiset; {elapsed:.2f}s")
     assert len(multiset) == 2
+    assert multiset[0] == multiset[1]
+    assert set(multiset) == support
     assert len(support) == 1
     assert elapsed < 1.0
 

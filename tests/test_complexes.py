@@ -22,12 +22,14 @@ from strata import (
     universal_degeneration,
 )
 from strata.complexes import _verify_downward_closed
+from strata.graphs import divisor_graph
 from helpers import (
     flag_witness,
     intersect_nonempty,
     is_face,
     is_isomorphic,
     oracle_facets,
+    tree_chain,
     witness_for,
 )
 from test_acceptance import GRID
@@ -104,6 +106,61 @@ def test_genus_zero_face_map_is_a_wedge_of_spheres(store, n):
     f = boundary_complex(GnSignature(0, n), store).f_vector()
     reduced_euler = -1 + sum((-1) ** j * f_j for j, f_j in enumerate(f))
     assert reduced_euler == (-1) ** (n - 4) * factorial(n - 2), f
+
+
+# -- the cone over the irreducible divisor -------------------------------------
+
+
+def _apex(sig: GnSignature) -> bytes | None:
+    """The key of δ_irr, the irreducible divisor; ``None`` at g = 0, which has none."""
+    return canonical_key(divisor_graph(sig.g, sig.n, None)) if sig.g else None
+
+
+def test_complex_is_a_cone_over_the_irreducible_divisor(store):
+    """At g >= 1 every face without δ_irr extends by it, and f_j = b_j + b_{j-1}.
+
+    A face without δ_irr is realized by trees; trading one unit of a
+    positive genus for a loop adds exactly δ_irr.  ``f_j`` counts the faces
+    with j divisors and ``b_j`` those without δ_irr, the empty face included.
+    """
+    cells = 0
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        if g == 0:
+            continue
+        faces, apex = {S for k in range(1, sig.dim + 1) for S in store.faces(sig, k)}, _apex(sig)
+        base = [S for S in faces if apex not in S]
+        for S in base:
+            assert tuple(sorted(S + (apex,))) in faces, (sig, S)
+        f, b = [0] * (sig.dim + 2), [1] + [0] * (sig.dim + 1)
+        for S in faces:
+            f[len(S)] += 1
+        for S in base:
+            b[len(S)] += 1
+        assert all(f[j] == b[j] + b[j - 1] for j in range(1, sig.dim + 2)), (sig, f, b)
+        cells += 1
+    assert cells == 13
+
+
+@pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 15), (5, 105), (6, 945)])
+def test_genus_one_top_trees_are_trivalent_trees(n, count):
+    """The top level of the (1, n) tree chain has (2n-3)!! trees: trivalent, n + 1 leaves."""
+    top = tree_chain(1, n)[-1]
+    assert len(top) == count
+    assert all(T.num_edges == n - 1 for T in top)
+
+
+def test_tree_chain_supports_are_the_base_faces(store):
+    """Level by level, the tree chain's supports are the faces without δ_irr."""
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        levels, apex = tree_chain(g, n), _apex(sig)
+        for k in range(1, sig.dim + 1):
+            trees = levels[k] if k < len(levels) else []
+            supports = [tuple(sorted(T.delta_support())) for T in trees]
+            assert set(supports) == {S for S in store.faces(sig, k) if apex not in S}, (sig, k)
+            if g <= 1:
+                assert len(set(supports)) == len(supports), (sig, k)
 
 
 def test_faces_downward_closed_explicitly(store):

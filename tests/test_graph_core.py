@@ -220,9 +220,11 @@ def test_delta_two_edge_stratum_recovers_both_divisors():
 
 
 def test_delta_multiset_sizes():
-    assert len(two_vertex_divisor(1, (1, 2), 1, ()).delta_multiset()) == 1
+    D = two_vertex_divisor(1, (1, 2), 1, ())
+    assert len(delta_multiset(D)) == 1
+    assert D.delta_support() == {canonical_key(D)}
     G = parallel_edge_graph()
-    assert len(G.delta_multiset()) == 2
+    assert len(delta_multiset(G)) == 2
     assert len(G.delta_support()) == 1
 
 
@@ -235,8 +237,10 @@ def test_delta_multiset_common_degeneration():
 
 
 def test_delta_multiset_requires_edges():
-    with pytest.raises(ValueError):
-        one_vertex(2, 0).delta_multiset()
+    with pytest.raises(ValueError, match="edgeless"):
+        one_vertex(2, 0).delta_support()
+    with pytest.raises(ValueError, match="edgeless"):
+        delta_multiset(one_vertex(2, 0))
 
 
 def test_delta_support_of_unstable_graph_is_value_error():
@@ -253,9 +257,9 @@ def test_delta_multiset_matches_oracle_on_acceptance_grid(store):
         table = store.divisors(sig)
         for k in range(1, sig.dim + 1):
             for G in store.level(sig, k).values():
-                multiset = G.delta_multiset()
-                assert multiset == delta_multiset(G), (sig, k, G.describe())
-                assert all(key in table for key in multiset), (sig, k, G.describe())
+                support = G.delta_support()
+                assert support == frozenset(delta_multiset(G)), (sig, k, G.describe())
+                assert all(key in table for key in support), (sig, k, G.describe())
 
 
 # -- canonical keys ---------------------------------------------------------------

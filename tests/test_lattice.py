@@ -18,6 +18,7 @@ from strata import (
     two_vertex_divisor,
 )
 from helpers import (
+    delta_multiset,
     has_loop,
     intersect_nonempty,
     intersect_nonempty_superset,
@@ -182,7 +183,7 @@ def test_components_have_distinct_deltas_and_right_codim(store):
     for G in report.components:
         assert G.num_edges == len(S)
         assert G.delta_support() == frozenset(S.keys)
-        assert len(set(G.delta_multiset())) == len(S)
+        assert len(set(delta_multiset(G))) == len(S)
 
 
 def test_report_json_schema(store):
