@@ -13,7 +13,11 @@ decided before the child is built.  A vertex is split once per move class (the
 legs moved, the ends moved to each far end, the sorted per-loop counts of
 moved loop ends, and the mirror when both halves have equal genus): splits of
 one class give isomorphic children, and the first is the one kept, so levels
-and representatives stay those of keying every least-label child.
+and representatives stay those of keying every least-label child.  Which
+splits are stable and first in their class depends only on the vertex's
+shape, so :func:`_split_masks` tabulates them once per shape and a parent
+only labels them; a class's splits share their label, so the representatives
+and the 17,763 / 27,859 keyed children of (5,0) / (1,6) are unchanged.
 
 Levels are deduplicated by canonical key and held by a :class:`StratumStore`
 that the caller creates and passes to every lookup; it keeps them as long
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -100,6 +105,35 @@ def _vertex_tables(G: DualGraph) -> tuple[list[int], list[int], list[int]]:
     return valence, [2 * x + d - 2 for x, d in zip(G.genus, ends)], marks
 
 
+@lru_cache(maxsize=1024)
+def _split_masks(
+    items: int, twins: tuple[int, ...], loops: tuple[int, ...], keep: bool, move: bool, mirror: bool
+) -> tuple[int, ...]:
+    """The masks, in increasing order, of one vertex shape's stable splits first in their move class.
+
+    The shape is ``items`` (legs, then edge ends), the bit groups ``twins``
+    of parallel ends and the bit pairs ``loops``.  ``keep``: the vertex keeps
+    genus 0, so two items stay; ``move``: the new vertex gets genus 0, so two
+    move; ``mirror``: equal genera, so only masks without the last item are
+    tried and a class is the lesser of its and its mirror's.  A class (the
+    other bits, the ends moved per twin group, the sorted per-loop counts)
+    gives isomorphic children: parallel ends, a loop's ends and loops swap.
+    """
+    full = (1 << items) - 1
+    other, first = full ^ sum(twins + loops), {}  # the groups are disjoint
+    for mask in range(1 << items >> mirror or 1):
+        moved = mask.bit_count()
+        if keep and items - moved < 2 or move and moved < 2:
+            continue
+        cls = min(
+            (m & other, *((m & b).bit_count() for b in twins),
+             *sorted((m & b).bit_count() for b in loops))
+            for m in ((mask, ~mask & full) if mirror else (mask,))
+        )
+        first.setdefault(cls, mask)
+    return tuple(first.values())
+
+
 def _split_moves(
     G: DualGraph, v: int, bound: tuple[int, int] | None, tables: tuple, g: int
 ) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
@@ -107,82 +141,72 @@ def _split_moves(
 
     Yields ``(a1, mask)`` and the label :func:`_edge_sides` gives the new
     edge: ``v`` keeps genus ``a1``, the new vertex the rest and the items in
-    ``mask`` (legs at ``v`` by mark, then edge ends at ``v`` by edge).  Of a
-    mask and its isomorphic mirror, the one without the last item is tried.
-    Of the masks of one move class (with ``a1``, the legs moved, how many
-    ends to each far end ``w != v`` move and the sorted per-loop counts of
-    moved loop ends; when ``a1 == a2``, the lesser of that and the mirror's)
-    only the first is yielded: parallel edges, a loop's two ends and the
-    loops at ``v`` are interchangeable, so the rest give isomorphic children.
-    The label comes from ``v``'s branches, one per component of ``G - v``
-    and one per loop at ``v``: the new edge is on a cycle exactly when
-    ``mask`` splits a branch, else its far side is the new vertex plus the
-    branches moved whole.  ``tables`` is :func:`_vertex_tables` of ``G``
-    and ``g`` its total genus.
+    ``mask`` (legs at ``v`` by mark, then edge ends at ``v`` by edge).  The
+    masks tried are :func:`_split_masks` of ``v``'s shape, one per move
+    class; a class's masks share their label, so the first is yielded
+    whenever any would be.  The label comes from ``v``'s branches, one per
+    component of ``G - v`` and one per loop at ``v``: the new edge is on a
+    cycle exactly when ``mask`` splits a branch, else its far side is the
+    new vertex plus the branches moved whole.  ``tables`` is
+    :func:`_vertex_tables` of ``G`` and ``g`` its total genus.
     """
     valence, weight, marks = tables
     a, items = G.genus[v], valence[v]
-    if a == 0 and items < 4 or bound is None and weight[v] - 2 * a < 0:
-        return  # no stable split, or none that puts the new edge on a cycle (< 2 ends)
-    legs_here = [m for m, w in enumerate(G.legs) if w == v]
-    L = len(legs_here)
+    if items < 4 - 2 * a or bound is None and weight[v] - 2 * a < 0:
+        return  # every table is empty, or no split puts the new edge on a cycle (< 2 ends)
+    L = marks[v].bit_count()
+    t, far, loops = L, {}, ()  # mask bits of v's ends to each far end, of each loop at v
+    for i, j in G.edges:
+        if i == j == v:
+            loops += (3 << t,)
+            t += 2
+        elif v in (i, j):
+            far[i + j - v] = far.get(i + j - v, 0) | 1 << t
+            t += 1
+    twins = tuple(b for b in far.values() if b & (b - 1))  # parallel edges
+    moves = [
+        (a1, _split_masks(items, twins, loops, a1 == 0, a1 == a, 2 * a1 == a))
+        for a1 in range(a // 2 + 1)
+    ]
     root = list(range(len(valence)))
     for i, j in G.edges:
         if i != v and j != v:
             root[_root(root, i)] = _root(root, j)
-    branches: dict[int, list[int]] = {}
+    parts: dict[int, list[int]] = {}  # per component of G - v: v's ends to it, weight, marks
     for u, w in enumerate(weight):
         if u != v:
-            branch = branches.setdefault(_root(root, u), [0, 0, 0])
+            branch = parts.setdefault(_root(root, u), [0, 0, 0])
             branch[1] += w
             branch[2] |= marks[u]
-    t, far, loops = L, {}, []  # mask bits of v's ends to each far end, of each loop at v
-    for e, (i, j) in enumerate(G.edges):
-        if i == j == v:
-            branches[-1 - e] = [3 << t, 0, 0]
-            loops.append(3 << t)
-            t += 2
-        elif v in (i, j):
-            branches[_root(root, i + j - v)][0] |= 1 << t
-            far[i + j - v] = far.get(i + j - v, 0) | 1 << t
-            t += 1
-    if bound is None and all(b & (b - 1) == 0 for b, _, _ in branches.values()):
+    for w, b in far.items():
+        parts[_root(root, w)][0] |= b
+    branches = [*parts.values(), *([b, 0, 0] for b in loops)]
+    if bound is None:  # only a mask that splits a branch puts the new edge on a cycle
+        split = [b for b, _, _ in branches if b & (b - 1)]
+        for a1, masks in moves:
+            for mask in masks:
+                if any(0 < mask & b != b for b in split):
+                    yield a1, mask, None
         return
-    leg_marks, full = [0] * (1 << L), (1 << G.n) - 1
-    for low in range(1, 1 << L):
-        leg_marks[low] = leg_marks[low & (low - 1)] | 1 << legs_here[(low & -low).bit_length() - 1]
-    twins = loops or len(far) < items - L  # a loop or parallel edges: some moves are isomorphic
-
-    def move_class(m: int) -> tuple:
-        near = sorted((m & b).bit_count() for b in loops)
-        return m & ((1 << L) - 1), *((m & b).bit_count() for b in far.values()), *near
-
-    for a1 in range(a // 2 + 1):
-        a2, seen = a - a1, set()
-        for mask in range(1 << items >> (a1 == a2) or 1):
-            moved = mask.bit_count()
-            if a1 == 0 and items - moved < 2 or a2 == 0 and moved < 2:
-                continue
-            W, M = 2 * a2 + (mask >> L).bit_count() - 1, leg_marks[mask & ((1 << L) - 1)]
-            for b, w, mk in branches.values():
+    leg_marks, full, low = [0], (1 << G.n) - 1, (1 << L) - 1
+    for m in range(G.n):
+        if marks[v] >> m & 1:
+            leg_marks += [x | 1 << m for x in leg_marks]
+    for a1, masks in moves:
+        base = 2 * (a - a1) - 1
+        for mask in masks:
+            W, M = base + (mask >> L).bit_count(), leg_marks[mask & low]
+            for b, w, mk in branches:
                 part = mask & b
                 if part == b:
                     W, M = W + w, M | mk
                 elif part:
-                    label = None
+                    yield a1, mask, None
                     break
             else:
                 label = _bridge_label(W, M, g, full)
-                if bound is None or label > bound:
-                    continue
-            if twins:
-                cls = move_class(mask)
-                if a1 == a2:  # the mirror swaps the halves
-                    cls = min(cls, move_class(~mask & ((1 << items) - 1)))
-                if cls in seen:
-                    continue
-                seen.add(cls)
-            yield a1, mask, label
+                if label <= bound:
+                    yield a1, mask, label
 
 
 def _split_child(G: DualGraph, v: int, a1: int, mask: int, sides: tuple) -> DualGraph:
@@ -249,7 +273,7 @@ def _generate_level(
 ) -> Mapping[bytes, DualGraph]:
     """Level ``k`` of ``sig`` from the children of ``parents``, the graphs of level ``k - 1``."""
     if k == 1:
-        _check_divisor_budget(sig, max_graphs)  # _split_moves would first tabulate 2**n leg sets
+        _check_divisor_budget(sig, max_graphs)  # _split_masks would first tabulate 2**n masks
     found: dict[bytes, DualGraph] = {}
     for G in parents:
         for child in children(G):

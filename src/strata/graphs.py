@@ -285,53 +285,55 @@ class DualGraph:
 
 def _relabeled(G: DualGraph, new_id: Sequence[int]) -> tuple:
     """Encoding of ``G`` after sending old vertex ``v`` to ``new_id[v]``."""
-    V = G.num_vertices
-    genus = [0] * V
+    genus = [0] * G.num_vertices
     for old, new in enumerate(new_id):
         genus[new] = G.genus[old]
-    edges = sorted(
-        (new_id[i], new_id[j]) if new_id[i] <= new_id[j] else (new_id[j], new_id[i])
-        for i, j in G.edges
-    )
-    legs = tuple(new_id[v] for v in G.legs)
-    return (tuple(genus), tuple(edges), legs)
+    edges = [(new_id[i], new_id[j]) for i, j in G.edges]
+    edges = [(i, j) if i <= j else (j, i) for i, j in edges]
+    edges.sort()
+    return genus, edges, [new_id[v] for v in G.legs]
 
 
 def _encode(encoding: tuple) -> bytes:
     genus, edges, legs = encoding
     return (
         "g" + ",".join(map(str, genus))
-        + ";e" + ",".join(f"{i}-{j}" for i, j in edges)
+        + ";e" + ",".join(["%d-%d" % e for e in edges])
         + ";l" + ",".join(map(str, legs))
     ).encode("ascii")
 
 
-def _leaves(colour: list[int], nbrs: list[dict[int, int]]) -> Iterator[tuple[int, ...]]:
-    """Discrete colourings at the leaves of the individualization tree.
+def _leaves(
+    colour: list[int], nbrs: list[list[tuple[int, int]]], scale: int
+) -> Iterator[list[int]]:
+    """Discrete colourings at the leaves of the individualization tree, every one of them.
 
-    ``colour`` holds dense ranks.  Rounds recolour ``v`` by the rank of (its
-    colour, sorted (neighbour colour, edge multiplicity) pairs) until the
-    cell count stops growing; ranks of invariant values keep the cell order
-    invariant.  Then each vertex of the first non-singleton cell in turn is
-    put ahead of the rest of its cell and the search recurses.  A leaf maps
-    ``v`` to ``colour[v]``.
+    ``colour`` holds dense ranks, ``nbrs[v]`` the (neighbour, multiplicity)
+    pairs of ``v``, each multiplicity below ``scale``.  Rounds recolour ``v``
+    by the rank of (its colour, sorted ``colour * scale + multiplicity`` of
+    its neighbours, which sort as the pairs do) until the cell count stops
+    growing; ranks of invariant values keep the cell order invariant.  Then
+    each vertex of the first non-singleton cell in turn is put ahead of the
+    rest of its cell and the search recurses.  A leaf maps ``v`` to
+    ``colour[v]``.  Nothing is pruned by automorphisms: the tests read the
+    automorphism group from the leaves with the least encoding.
     """
     cells, grown = len(set(colour)), True
     while grown and cells < len(colour):
         sig = [
-            (colour[v], tuple(sorted((colour[w], m) for w, m in nv.items())))
+            (colour[v], tuple(sorted([colour[w] * scale + m for w, m in nv])))
             for v, nv in enumerate(nbrs)
         ]
         rank = {s: r for r, s in enumerate(sorted(set(sig)))}
         colour = [rank[s] for s in sig]
         cells, grown = len(rank), len(rank) > cells
     if cells == len(colour):
-        yield tuple(colour)
+        yield colour
         return
     target = min(c for c in colour if colour.count(c) > 1)
     for v in [v for v, c in enumerate(colour) if c == target]:
         split = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colour)]
-        yield from _leaves(split, nbrs)
+        yield from _leaves(split, nbrs, scale)
 
 
 def canonical_key(G: DualGraph) -> bytes:
@@ -366,7 +368,8 @@ def canonical_key(G: DualGraph) -> bytes:
         nbrs[i][j] = nbrs[i].get(j, 0) + 1
         if i != j:
             nbrs[j][i] = nbrs[j].get(i, 0) + 1
-    return _encode(min(_relabeled(G, leaf) for leaf in _leaves(colour, nbrs)))
+    pairs = [list(nv.items()) for nv in nbrs]
+    return _encode(min(_relabeled(G, leaf) for leaf in _leaves(colour, pairs, G.num_edges + 1)))
 
 
 # -- one-edge smoothings ----------------------------------------------------

@@ -452,7 +452,8 @@ def has_odd_automorphism(G: DualGraph) -> bool:
         nbrs[i][j] = nbrs[i].get(j, 0) + 1
         if i != j:
             nbrs[j][i] = nbrs[j].get(i, 0) + 1
-    leaves = list(_leaves([rank[x] for x in invariant], nbrs))
+    pairs = [list(nv.items()) for nv in nbrs]
+    leaves = list(_leaves([rank[x] for x in invariant], pairs, G.num_edges + 1))
     encodings = [_relabeled(G, leaf) for leaf in leaves]
     first, *rest = [leaf for leaf, code in zip(leaves, encodings) if code == min(encodings)]
     back = {c: v for v, c in enumerate(first)}

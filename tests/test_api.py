@@ -60,6 +60,38 @@ def _references(tree: ast.AST) -> set[str]:
     }
 
 
+def test_every_cache_in_the_package_is_bounded():
+    """Each ``lru_cache`` in ``src/strata/`` is called with a positive integer ``maxsize``.
+
+    A bare ``@lru_cache`` would hide its bound, and ``functools.cache`` or
+    ``maxsize=None`` has none.  Any name or attribute spelled ``cache`` or
+    ``lru_cache`` counts, however it was imported; imports are not read.
+    """
+    bounded = []
+    for path in sorted((ROOT / "src" / "strata").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in ("cache", "lru_cache"):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert name == "lru_cache" and id(node) in calls, f"unbounded cache at {where}"
+            call = calls[id(node)]
+            sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+            assert len(sizes) == 1, f"no maxsize at {where}"
+            size = sizes[0]
+            assert isinstance(size, ast.Constant) and type(size.value) is int, where
+            assert size.value > 0, where
+            bounded.append(where)
+    assert len(bounded) >= 2, bounded  # graphs._divisor_table and enumeration._split_masks
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Each name in ``strata.__all__`` is reached from code that runs without the tests.
 

@@ -23,6 +23,7 @@ from strata import (
     one_vertex,
     two_vertex_divisor,
 )
+from strata import enumeration
 from strata.enumeration import _split_moves, _vertex_tables, _write_level, children
 from strata.graphs import (
     InvalidSignatureError,
@@ -313,6 +314,75 @@ def test_levels_equal_least_label_oracle(store, g, n, top):
         for G, H in zip(level.values(), expected.values()):
             assert G == H and G._sides == _edge_sides(H), (sig, k, G.describe())
         parents = level.values()
+
+
+def _oracle_split_masks(G: DualGraph, v: int, a1: int) -> list[int]:
+    """The masks of ``v`` with genus ``a1`` kept: stable, and first by ``oracle_move_class``.
+
+    A genus-0 half needs three special points, the new edge's end among
+    them; when both halves get equal genus only masks without the last item
+    are tried.  The genus-1 and higher halves are stable with the new edge.
+    """
+    a2, items = G.genus[v] - a1, G.valence(v)
+    seen, masks = set(), []
+    for mask in range(1 << items >> (a1 == a2) or 1):
+        moved = bin(mask).count("1")
+        if a1 == 0 and items - moved + 1 < 3 or a2 == 0 and moved + 1 < 3:
+            continue
+        cls = oracle_move_class(G, v, a1, mask)
+        if cls not in seen:
+            seen.add(cls)
+            masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "g,n,top", [(g, n, GnSignature(g, n).dim) for g, n in GRID] + [(4, 0, 6), (5, 0, 6)]
+)
+def test_split_mask_table_equals_per_mask_oracle(store, monkeypatch, g, n, top):
+    """Each vertex shape's tabulated masks are the per-mask oracle's, at every vertex met.
+
+    Every vertex of levels 0..top is split with a bound above every label,
+    so ``_split_moves`` yields each tabulated mask; the table is read
+    through a wrapper that records what it returned for each genus ``a1``.
+    A vertex with no stable split reads no table.
+    """
+    table, read = enumeration._split_masks, []
+
+    def reading(*shape):
+        read.append(table(*shape))
+        return read[-1]
+
+    monkeypatch.setattr(enumeration, "_split_masks", reading)
+    sig = GnSignature(g, n)
+    graphs = [one_vertex(g, n)]
+    for k in range(top + 1):
+        for G in graphs:
+            tables = _vertex_tables(G)
+            for v in range(G.num_vertices):
+                read.clear()
+                moves = [move[:2] for move in _split_moves(G, v, (g + 1, 0), tables, g)]
+                expected = [_oracle_split_masks(G, v, a1) for a1 in range(G.genus[v] // 2 + 1)]
+                tabulated = [list(masks) for masks in read]
+                assert tabulated == (expected if any(expected) else []), (sig, G.describe(), v)
+                assert moves == [(a1, m) for a1, masks in enumerate(expected) for m in masks]
+        graphs = store.level(sig, k + 1).values() if k < top else ()
+
+
+def test_results_do_not_depend_on_the_split_mask_table():
+    """Clearing the shape table between two builds of (5,0) changes no key, graph or label."""
+    sig = GnSignature(5, 0)
+    store = StratumStore()
+    first = [store.level(sig, k) for k in range(1, 9)]
+    assert enumeration._split_masks.cache_info().currsize > 0
+    enumeration._split_masks.cache_clear()
+    store = StratumStore()
+    second = [store.level(sig, k) for k in range(1, 9)]
+    assert enumeration._split_masks.cache_info().misses > 0
+    for old, new in zip(first, second):
+        assert tuple(old) == tuple(new)
+        for G, H in zip(old.values(), new.values()):
+            assert G == H and G._sides == H._sides, G.describe()
 
 
 def test_isomorphic_splits_of_one_vertex_yield_once():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from hashlib import sha256
+
 import pytest
 
 from strata import (
     DualGraph,
     GnSignature,
     InvalidSignatureError,
+    StratumStore,
     canonical_key,
     chain,
     is_degeneration,
@@ -68,6 +71,26 @@ def test_non_integers_rejected_before_any_graph_shares_them(build):
         build()
     assert canonical_key(one_vertex(1, 1)) == b"g1;e;l0"
     assert canonical_key(DualGraph((0, 0), ((1, 0),), (0, 0, 1, 1))) == b"g0,0;e0-1;l0,0,1,1"
+
+
+@pytest.mark.parametrize(
+    "g,n,top,digest",
+    [
+        (5, 0, 8, "873b932391cc5b3c433e2d5f2b91070ed2b24fb8ce1a3e269d3eb773f326463c"),
+        (1, 6, 6, "879cf9cbac6e118c14cef2a8b781c9b4baf53caf513fe40c865926e100f2bede"),
+        (0, 7, 4, "46b3a84132fbbb98d4cf7376fb218cd0bf35ba7d9a9e20dba298371f39cb7135"),
+        (2, 3, 6, "d83e3bed9350dc16ae13935734812665569543a60b4979f11ef9038225886e19"),
+    ],
+)
+def test_key_scheme_is_pinned(store: StratumStore, g, n, top, digest):
+    """SHA-256 of the keys of levels 1..top, in store order, one per line.
+
+    Any change of the key bytes, of a level's graphs or of their order moves
+    the digest; a change of the key scheme must be declared and re-pinned.
+    """
+    sig = GnSignature(g, n)
+    keys = [key for k in range(1, top + 1) for key in store.level(sig, k)]
+    assert sha256(b"\n".join(keys)).hexdigest() == digest
 
 
 def test_edge_pairs_are_normalized_but_order_is_kept():
