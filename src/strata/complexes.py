@@ -3,9 +3,9 @@
 The boundary complex of a signature has one vertex per boundary divisor and
 a face for every set of divisors with nonempty intersection; a j-face is
 witnessed by a j-edge stable graph whose one-edge smoothings are j distinct
-divisors; the store's face map (:meth:`StratumStore.faces`) lists them.
-Faces of smaller size follow by smoothing, so the complex is downward
-closed by construction (and verified to be).
+divisors.  Its j-faces are the store's face map (:meth:`StratumStore.faces`)
+itself, keyed by sorted tuples of divisor keys; smaller faces follow by
+smoothing, so the complex is downward closed (and verified to be).
 
 Flag checking walks cliques of the 1-skeleton level by level: as long as
 every clique of the current size is a face, its extensions are enumerated;
@@ -13,17 +13,17 @@ the first non-face clique encountered is a minimal witness (smallest size,
 then lexicographic in canonical-key order).  The verdict is that witness,
 a sorted tuple of divisor keys, or ``None`` for a flag complex: its
 divisors meet pairwise, being a clique, but not all together, being no
-face.  :func:`flag_verdict` looks each clique up in the store's face map,
-whose keys are such sorted tuples, one level at a time, so a small witness
-never forces a deep enumeration.  The paper's theorem is the comparison of
-that verdict with :func:`predicted_flag`.
+face.  :func:`flag_verdict` looks each clique up in the store's face map
+one level at a time, so a small witness never forces a deep enumeration.
+The paper's theorem is the comparison of that verdict with
+:func:`predicted_flag`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .enumeration import StratumStore
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
@@ -35,23 +35,28 @@ BCOMPLEX_SCHEMA = "bcomplex/1"
 class BoundaryComplex:
     """Simplicial complex on divisor keys with explicit face sets per size.
 
-    ``faces[j]`` holds the j-element faces as frozensets of vertex indices;
-    vertex order is canonical-key order.
+    ``faces[j]`` holds the j-element faces as sorted tuples of divisor keys;
+    for j >= 2 it is the store's face map itself, which gives each face's
+    components.  Vertex indices into ``vertices`` appear only in the exports.
     """
 
     signature: GnSignature
     vertices: tuple[bytes, ...]
     divisor_graphs: tuple[DualGraph, ...]
-    faces: Mapping[int, frozenset[frozenset[int]]]
+    faces: Mapping[int, Collection[tuple[bytes, ...]]]
 
     def f_vector(self) -> tuple[int, ...]:
-        sizes = sorted(j for j, fs in self.faces.items() if fs)
-        top = sizes[-1] if sizes else 0
-        return tuple(len(self.faces.get(j, frozenset())) for j in range(1, top + 1))
+        top = max((j for j, fs in self.faces.items() if fs), default=0)
+        return tuple(len(self.faces.get(j, ())) for j in range(1, top + 1))
+
+    def _indexed(self, faces: Iterable[tuple[bytes, ...]]) -> list[tuple[int, ...]]:
+        """Each face as the sorted tuple of its vertex indices."""
+        index = {key: i for i, key in enumerate(self.vertices)}
+        return [tuple(sorted(index[key] for key in face)) for face in faces]
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.vertices]
-        for u, v in map(sorted, self.faces.get(2, ())):
+        for u, v in self._indexed(self.faces.get(2, ())):
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -60,8 +65,8 @@ class BoundaryComplex:
         """Maximal faces, as sorted index tuples in lexicographic order."""
         out = []
         for j, level in self.faces.items():
-            out += level.difference(_subfaces(self.faces.get(j + 1, ())))
-        return tuple(sorted(tuple(sorted(face)) for face in out))
+            out += set(level).difference(_subfaces(self.faces.get(j + 1, ())))
+        return tuple(sorted(self._indexed(out)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -78,8 +83,8 @@ class BoundaryComplex:
         lines = [f'graph "boundary_complex_g{sig.g}n{sig.n}" {{']
         for i, G in enumerate(self.divisor_graphs):
             lines.append(f'  v{i} [label="v{i}", tooltip="{G.describe()}"];')
-        for face in sorted(tuple(sorted(f)) for f in self.faces.get(2, frozenset())):
-            lines.append(f"  v{face[0]} -- v{face[1]};")
+        for u, v in sorted(self._indexed(self.faces.get(2, ()))):
+            lines.append(f"  v{u} -- v{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -96,54 +101,49 @@ def boundary_complex(
         raise ValueError(f"max_dim={max_dim} out of range 0..{sig.dim} for {sig}")
     table = store.divisors(sig)
     vertices = tuple(table)
-    index = {key: i for i, key in enumerate(vertices)}
     depth = min(sig.dim if max_dim is None else max_dim, len(vertices))
-    faces: dict[int, frozenset[frozenset[int]]] = {}
+    faces: dict[int, Collection[tuple[bytes, ...]]] = {}
     if vertices:
-        faces[1] = frozenset(frozenset((i,)) for i in range(len(vertices)))
+        faces[1] = frozenset((key,) for key in vertices)
     for j in range(2, depth + 1):
-        faces[j] = frozenset(
-            frozenset(index[k] for k in support) for support in store.faces(sig, j)
-        )
+        faces[j] = store.faces(sig, j)
     _verify_downward_closed(faces)
     return BoundaryComplex(sig, vertices, tuple(table.values()), faces)
 
 
-def _subfaces(faces: Iterable[frozenset[int]]) -> Iterator[frozenset[int]]:
-    """Each face with one vertex dropped, lazily and with repeats."""
+def _subfaces(faces: Iterable[tuple[bytes, ...]]) -> Iterator[tuple[bytes, ...]]:
+    """Each face with one position dropped, lazily and with repeats."""
     for face in faces:
-        for drop in face:
-            yield face - {drop}
+        for i in range(len(face)):
+            yield face[:i] + face[i + 1 :]
 
 
-def _verify_downward_closed(faces: Mapping[int, frozenset[frozenset[int]]]) -> None:
-    for j in sorted(faces):
-        if j < 2:
-            continue
-        below = faces.get(j - 1, frozenset())
+def _verify_downward_closed(faces: Mapping[int, Collection[tuple[bytes, ...]]]) -> None:
+    for j in sorted(faces.keys() - {1}):
+        below = faces.get(j - 1, ())
         for sub in _subfaces(faces[j]):
             if sub not in below:
-                raise RuntimeError(f"downward closure violated: {sorted(sub)} is no face")
+                raise RuntimeError(f"downward closure violated: {sub} is no face")
 
 
 # -- flag property ------------------------------------------------------------
 
 
 def _flag_walk(
-    edges: Iterable[Iterable[bytes]],
+    edges: Iterable[tuple[bytes, bytes]],
     is_face: Callable[[tuple[bytes, ...]], bool],
     cap: int,
 ) -> tuple[bytes, ...] | None:
     """The least non-face clique of the 1-skeleton spanned by ``edges``, or ``None``.
 
-    Vertices are divisor keys, and ``is_face`` receives each clique as the
-    sorted tuple of its keys.  Cliques of size j+1 are extensions of size-j
-    cliques by a key above their maximum, so each clique is generated once;
-    a level is extended only after every clique in it proved to be a face,
-    which makes the first failure minimal by size, and the lexicographically
-    least failure is the witness.  Cliques larger than ``cap`` cannot be faces.
+    Vertices are divisor keys and edges sorted pairs of them; ``is_face``
+    gets each clique as its sorted key tuple.  Cliques of size j+1 extend
+    size-j cliques by a key above their maximum, so each clique is made
+    once; a level is extended only after every clique in it proved to be a
+    face, so the first failure is minimal by size, and the least failure is
+    the witness.  Cliques larger than ``cap`` cannot be faces.
     """
-    cliques = sorted(tuple(sorted(edge)) for edge in edges)
+    cliques = sorted(edges)
     adjacency: dict[bytes, set[bytes]] = {}
     for u, v in cliques:
         adjacency.setdefault(u, set()).add(v)

@@ -147,7 +147,8 @@ def _split_moves(
     whenever any would be.  The label comes from ``v``'s branches, one per
     component of ``G - v`` and one per loop at ``v``: the new edge is on a
     cycle exactly when ``mask`` splits a branch, else its far side is the
-    new vertex plus the branches moved whole.  ``tables`` is
+    new vertex plus the branches moved whole; with no ``bound`` only cycle
+    edges are yielded and no label is computed.  ``tables`` is
     :func:`_vertex_tables` of ``G`` and ``g`` its total genus.
     """
     valence, weight, marks = tables
@@ -181,13 +182,6 @@ def _split_moves(
     for w, b in far.items():
         parts[_root(root, w)][0] |= b
     branches = [*parts.values(), *([b, 0, 0] for b in loops)]
-    if bound is None:  # only a mask that splits a branch puts the new edge on a cycle
-        split = [b for b, _, _ in branches if b & (b - 1)]
-        for a1, masks in moves:
-            for mask in masks:
-                if any(0 < mask & b != b for b in split):
-                    yield a1, mask, None
-        return
     leg_marks, full, low = [0], (1 << G.n) - 1, (1 << L) - 1
     for m in range(G.n):
         if marks[v] >> m & 1:
@@ -203,9 +197,8 @@ def _split_moves(
                 elif part:
                     yield a1, mask, None
                     break
-            else:
-                label = _bridge_label(W, M, g, full)
-                if label <= bound:
+            else:  # a bridge
+                if bound is not None and (label := _bridge_label(W, M, g, full)) <= bound:
                     yield a1, mask, label
 
 

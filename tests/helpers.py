@@ -25,8 +25,9 @@ cone.
 The rest are test-side forms of things the library does one way:
 isomorphism is ``canonical_key`` equality, smoothing one edge is
 ``smooth_set`` of one edge, nonemptiness is ``intersection_components``,
-and :func:`flag_witness` runs the library's clique walk on a built complex
-where ``flag_verdict`` runs it on the store's face map.  :func:`to_json`
+and :func:`flag_witness` runs the library's clique walk on a built complex,
+refusing cliques above its depth, where ``flag_verdict`` builds face levels
+as the walk reaches them.  :func:`to_json`
 is a graph's compact ``dualgraph/1`` text, the form the CLI reads, and
 :func:`level_json` a level's ``stratumset/1`` text dumped as one object,
 where ``enumeration._write_level`` writes it one graph at a time.  The
@@ -545,20 +546,22 @@ def scan_components(S: DivisorSet, supports: list[tuple]) -> tuple[DualGraph, ..
     return tuple(G for G, support in supports if support == want)
 
 
-def oracle_facets(faces) -> tuple[tuple[int, ...], ...]:
-    """Reference for ``BoundaryComplex.facets``: the pairwise scan over adjacent sizes."""
+def oracle_facets(C: BoundaryComplex) -> tuple[tuple[int, ...], ...]:
+    """Reference for ``BoundaryComplex.facets``: the pairwise scan over adjacent sizes, on key sets."""
+    index = {key: i for i, key in enumerate(C.vertices)}
     out = []
-    for j in sorted(faces, reverse=True):
-        bigger = faces.get(j + 1, frozenset())
-        for face in faces[j]:
-            if not any(face < other for other in bigger):
-                out.append(tuple(sorted(face)))
+    for j, level in C.faces.items():
+        bigger = [set(other) for other in C.faces.get(j + 1, ())]
+        for face in level:
+            if not any(set(face) < other for other in bigger):
+                out.append(tuple(sorted(index[key] for key in face)))
     return tuple(sorted(out))
 
 
 def is_face(C: BoundaryComplex, indices) -> bool:
-    face = frozenset(indices)
-    return face in C.faces.get(len(face), frozenset())
+    """Whether the vertices at ``indices`` span a face of ``C``."""
+    face = tuple(sorted({C.vertices[i] for i in indices}))
+    return face in C.faces.get(len(face), ())
 
 
 def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
@@ -573,7 +576,6 @@ def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
     depth = max(C.faces, default=0)
     if depth < 2 <= min(C.signature.dim, len(C.vertices)):
         raise ValueError(f"complex truncated at max_dim={depth}; it has no 1-skeleton")
-    index = {key: i for i, key in enumerate(C.vertices)}
 
     def face_test(face: tuple[bytes, ...]) -> bool:
         if len(face) > depth:
@@ -581,10 +583,9 @@ def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
                 f"complex truncated at max_dim={depth}; "
                 f"flag check reached a clique of size {len(face)}"
             )
-        return is_face(C, (index[key] for key in face))
+        return face in C.faces[len(face)]
 
-    edges = (frozenset(C.vertices[i] for i in edge) for edge in C.faces.get(2, ()))
-    return _flag_walk(edges, face_test, C.signature.dim)
+    return _flag_walk(C.faces.get(2, ()), face_test, C.signature.dim)
 
 
 def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:

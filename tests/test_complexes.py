@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -9,6 +11,7 @@ from strata import (
     BoundaryComplex,
     DivisorSet,
     GnSignature,
+    StratumStore,
     boundary_complex,
     canonical_key,
     flag_verdict,
@@ -65,11 +68,9 @@ def test_m22_triangles(store):
         "marked_genus1": canonical_key(two_vertex_divisor(1, (1, 2), 1, ())),
         "split_marks": canonical_key(two_vertex_divisor(1, (1,), 1, (2,))),
     }
-    idx = {name: C.vertices.index(k) for name, k in key.items()}
-    triangles = {frozenset(f) for f in C.faces[3]}
-    assert triangles == {
-        frozenset({idx["irr"], idx["marked_genus0"], idx["marked_genus1"]}),
-        frozenset({idx["irr"], idx["marked_genus1"], idx["split_marks"]}),
+    assert set(C.faces[3]) == {
+        tuple(sorted((key["irr"], key["marked_genus0"], key["marked_genus1"]))),
+        tuple(sorted((key["irr"], key["marked_genus1"], key["split_marks"]))),
     }
 
 
@@ -171,22 +172,22 @@ def test_faces_downward_closed_explicitly(store):
                 continue
             for face in faces:
                 for v in face:
-                    assert is_face(C, face - {v})
+                    assert tuple(k for k in face if k != v) in C.faces[size - 1]
 
 
-def _closure_map(*faces):
-    """A face map holding the given faces, keyed by size."""
-    out: dict[int, frozenset] = {}
-    for face in map(frozenset, faces):
-        out[len(face)] = out.get(len(face), frozenset()) | {face}
+def _closure_map(*faces: str):
+    """A face map holding the given faces, keyed by size; ``"ab"`` is the face (b"a", b"b")."""
+    out: dict[int, set] = {}
+    for face in faces:
+        out.setdefault(len(face), set()).add(tuple(c.encode() for c in face))
     return out
 
 
 @pytest.mark.parametrize(
     "faces",
     [
-        _closure_map((0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)),
-        _closure_map((0,), (1,), (2,), (0, 1, 2)),
+        _closure_map("a", "b", "c", "ab", "ac", "abc"),
+        _closure_map("a", "b", "c", "abc"),
     ],
     ids=["missing_face", "missing_level"],
 )
@@ -196,7 +197,37 @@ def test_verify_downward_closed_rejects_open_maps(faces):
 
 
 def test_verify_downward_closed_accepts_closed_map():
-    _verify_downward_closed(_closure_map((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)))
+    _verify_downward_closed(_closure_map("a", "b", "c", "ab", "ac", "bc", "abc"))
+
+
+def test_complex_holds_the_store_face_maps_on_grid(store):
+    """Each face level from size 2 up is the store's face map object, not a copy."""
+    levels = 0
+    for g, n in GRID:
+        sig = GnSignature(g, n)
+        C = boundary_complex(sig, store)
+        for j in range(2, max(C.faces, default=0) + 1):
+            assert C.faces[j] is store.faces(sig, j), (sig, j)
+            levels += 1
+    assert levels == 40  # 2..min(dim, divisor count) per cell
+
+
+def test_complex_build_allocates_little_over_built_face_maps():
+    """Building (1,6)'s complex once its face maps exist traces under 0.5 MB.
+
+    Copying each face into a frozenset of vertex indices traced 4.94 MB.
+    """
+    sig, store = GnSignature(1, 6), StratumStore()
+    for j in range(2, sig.dim + 1):
+        store.faces(sig, j)
+    tracemalloc.start()
+    try:
+        C = boundary_complex(sig, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.f_vector()[-1] == 945
+    assert peak < 500_000, peak
 
 
 def test_facets_match_pairwise_scan_on_grid(store):
@@ -205,25 +236,37 @@ def test_facets_match_pairwise_scan_on_grid(store):
         sig = GnSignature(g, n)
         for max_dim in (None, *range(sig.dim + 1)):
             C = boundary_complex(sig, store, max_dim=max_dim)
-            assert C.facets() == oracle_facets(C.faces), (g, n, max_dim)
+            assert C.facets() == oracle_facets(C), (g, n, max_dim)
             checked += 1
     assert checked == 105
 
 
+def _dot_edges(C: BoundaryComplex) -> list[tuple[int, ...]]:
+    """The index pairs of the ``v{i} -- v{j}`` lines of ``C.to_dot()``, in order."""
+    lines = C.to_dot().splitlines()
+    return [tuple(map(int, re.findall(r"v(\d+)", line))) for line in lines if " -- " in line]
+
+
 def test_f_vector_invariant_under_vertex_reordering(store):
-    C = boundary_complex(GnSignature(2, 2), store)
-    order = list(range(len(C.vertices)))[::-1]
-    faces = {
-        size: frozenset(frozenset(order[i] for i in face) for face in fs)
-        for size, fs in C.faces.items()
-    }
-    reordered = BoundaryComplex(
-        C.signature,
-        tuple(C.vertices[i] for i in order),
-        tuple(C.divisor_graphs[i] for i in order),
-        faces,
-    )
-    assert reordered.f_vector() == C.f_vector()
+    """Reversed vertices keep the f-vector, and the exports name the same faces.
+
+    Facets and edges, mapped back to keys, are the same sets, and every
+    index tuple an export writes is sorted.
+    """
+    C = boundary_complex(GnSignature(2, 3), store)
+    R = BoundaryComplex(C.signature, C.vertices[::-1], C.divisor_graphs[::-1], C.faces)
+    assert R.f_vector() == C.f_vector()
+
+    def keyed(X: BoundaryComplex, faces) -> set[frozenset[bytes]]:
+        assert all(list(face) == sorted(face) for face in faces), faces
+        return {frozenset(X.vertices[i] for i in face) for face in faces}
+
+    edges = keyed(C, _dot_edges(C))
+    assert len(edges) == C.f_vector()[1]
+    assert keyed(R, _dot_edges(R)) == edges
+    pairs = [(i, j) for i, adj in enumerate(R.adjacency()) for j in adj if i < j]
+    assert keyed(R, pairs) == edges
+    assert keyed(R, R.facets()) == keyed(C, C.facets())
 
 
 def test_max_dim_validation(store):

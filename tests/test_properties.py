@@ -23,7 +23,7 @@ from strata import (
     intersection_components,
     is_degeneration,
 )
-from helpers import is_face, is_tree_type, relabel, sigma, smooth, vertex_isomorphisms
+from helpers import is_tree_type, relabel, sigma, smooth, vertex_isomorphisms
 
 POOL_SIGS = [
     (0, 5), (0, 6), (0, 7),
@@ -172,8 +172,8 @@ def test_complex_downward_closure(store):
     for _ in range(CASES):
         C, face = rng.choice(faced)
         subset_size = rng.randint(1, len(face) - 1)
-        subset = frozenset(rng.sample(sorted(face), subset_size))
-        assert is_face(C, subset)
+        subset = tuple(sorted(rng.sample(face, subset_size)))
+        assert subset in C.faces[subset_size]
 
 
 def test_unique_realization_of_divisor_collections(store):

@@ -1,12 +1,12 @@
 """Byte-for-byte comparison of the ``strata`` CLI between two checkouts.
 
-Runs one fixed list of invocations against ``OLD/src`` and ``NEW/src``, each
-in a fresh interpreter with ``STRATA_CACHE_DIR`` unset (older checkouts read
-it) and its own empty working directory holding the fixture files the error
-cases read.  Exit code, stdout, stderr and the files the invocation leaves in
-that directory (each by relative path and sha256, so level files written to a
-cache directory count) are compared; ``verify`` timings and the checkout's
-own path (which shows in tracebacks) are masked first.
+Runs one fixed list of 309 invocations against ``OLD/src`` and ``NEW/src``,
+each in a fresh interpreter with ``STRATA_CACHE_DIR`` unset (older checkouts
+read it) and its own empty working directory holding the fixture files the
+error cases read.  Exit code, stdout, stderr and the files the invocation
+leaves in that directory (each by relative path and sha256, so level files
+written to a cache directory count) are compared; ``verify`` timings and the
+checkout's own path (which shows in tracebacks) are masked first.
 Each difference is printed, and the exit code is 1 if there is any.
 Standard library only.
 
@@ -21,7 +21,8 @@ at every k (legless graphs, rich in loops and parallel edges);
 dimension 2; ``paper-suite`` in text and json; ``flag-check --g 1 --n 4``
 and ``enumerate --g 2 --n 3 --k 4`` in json, each writing its levels to the
 new cache directory ``fresh``;
-``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors);
+``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors),
+and ``complex --g 0 --n 8`` json, a larger one (10,395 facets);
 and the error cases of ``tests/test_cli.py``, among them ``intersect`` with
 only one of ``--g``/``--n`` given against files of another signature,
 ``intersect`` on a multi-edge graph that is no divisor (a genus-0 centre
@@ -154,6 +155,7 @@ def invocations(old: Path) -> list[list[str]]:
     ]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
+    calls.append(["complex", "--g", "0", "--n", "8", "--format", "json"])
     # Level files written to an empty cache directory.
     calls += [
         ["flag-check", "--g", "1", "--n", "4", "--format", "json", "--cache-dir", "fresh"],
