@@ -240,7 +240,7 @@ def cmd_verify(args: argparse.Namespace, store: StratumStore) -> int:
         for row in rows:
             computed = "skipped" if row["skipped"] else str(row["computed"])
             agree = "-" if row["agree"] is None else str(row["agree"])
-            witness = ",".join(k[:12] for k in row["witness"] or ())
+            witness = ",".join(row["witness"] or ())
             sig = GnSignature(row["g"], row["n"])
             print(
                 f"{str(sig):>8} {str(row['predicted']):>9} {computed:>9}"

@@ -13,8 +13,9 @@ the first non-face clique encountered is a minimal witness (smallest size,
 then lexicographic in canonical-key order).  The verdict is that witness,
 a sorted tuple of divisor keys, or ``None`` for a flag complex: its
 divisors meet pairwise, being a clique, but not all together, being no
-face.  :func:`flag_verdict` looks each clique up in the store's face map
-one level at a time, so a small witness never forces a deep enumeration.
+face.  :func:`flag_verdict` reads the store's whole face level of each
+clique size it reaches, and no deeper, so a small witness never forces a
+deep enumeration.
 The paper's theorem is the comparison of that verdict with
 :func:`predicted_flag`.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .enumeration import StratumStore
 from .graphs import DualGraph, GnSignature, chain, divisor_graph, key_to_hex
@@ -129,55 +130,35 @@ def _verify_downward_closed(faces: Mapping[int, Collection[tuple[bytes, ...]]]) 
 # -- flag property ------------------------------------------------------------
 
 
-def _flag_walk(
-    edges: Iterable[tuple[bytes, bytes]],
-    is_face: Callable[[tuple[bytes, ...]], bool],
-    cap: int,
-) -> tuple[bytes, ...] | None:
-    """The least non-face clique of the 1-skeleton spanned by ``edges``, or ``None``.
+def flag_verdict(sig: GnSignature, store: StratumStore) -> tuple[bytes, ...] | None:
+    """The least non-face clique of ``sig``'s complex as sorted divisor keys; ``None`` if flag.
 
-    Vertices are divisor keys and edges sorted pairs of them; ``is_face``
-    gets each clique as its sorted key tuple.  Cliques of size j+1 extend
-    size-j cliques by a key above their maximum, so each clique is made
-    once; a level is extended only after every clique in it proved to be a
-    face, so the first failure is minimal by size, and the least failure is
-    the witness.  Cliques larger than ``cap`` cannot be faces.
+    Cliques of size j extend those of size j-1 by a common neighbour above
+    their last key, so each is made once and a level comes out in
+    lexicographic order; the first clique missing from the store's j-faces
+    is the witness, and cliques above the dimension are never faces.  Face
+    level j is read only once j-cliques exist, so a small witness never
+    forces a deep enumeration.
     """
-    cliques = sorted(edges)
+    cliques = sorted(store.faces(sig, 2)) if sig.dim >= 2 else []
     adjacency: dict[bytes, set[bytes]] = {}
     for u, v in cliques:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
-    while cliques:
-        next_level: list[tuple[bytes, ...]] = []
-        nonfaces: list[tuple[bytes, ...]] = []
+    for j in range(3, sig.dim + 2):
+        cliques = [
+            c + (w,)
+            for c in cliques
+            for w in sorted(set.intersection(*(adjacency[u] for u in c)))
+            if w > c[-1]
+        ]
+        if not cliques:
+            return None
+        level = store.faces(sig, j) if j <= sig.dim else ()
         for c in cliques:
-            shared = set.intersection(*(adjacency[u] for u in c))
-            for w in sorted(shared):
-                if w <= c[-1]:
-                    continue
-                nc = c + (w,)
-                if len(nc) <= cap and is_face(nc):
-                    next_level.append(nc)
-                else:
-                    nonfaces.append(nc)
-        if nonfaces:
-            return min(nonfaces)
-        cliques = next_level
+            if c not in level:
+                return c
     return None
-
-
-def flag_verdict(sig: GnSignature, store: StratumStore) -> tuple[bytes, ...] | None:
-    """The least non-face clique of ``sig``'s complex as sorted divisor keys; ``None`` if flag.
-
-    Face levels are built lazily, only up to the level where the walk
-    settles, which keeps spaces with small witnesses cheap.
-    """
-    return _flag_walk(
-        store.faces(sig, 2) if sig.dim >= 2 else (),
-        lambda face: face in store.faces(sig, len(face)),
-        sig.dim,
-    )
 
 
 # -- classification -----------------------------------------------------------

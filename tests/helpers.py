@@ -25,9 +25,9 @@ cone.
 The rest are test-side forms of things the library does one way:
 isomorphism is ``canonical_key`` equality, smoothing one edge is
 ``smooth_set`` of one edge, nonemptiness is ``intersection_components``,
-and :func:`flag_witness` runs the library's clique walk on a built complex,
-refusing cliques above its depth, where ``flag_verdict`` builds face levels
-as the walk reaches them.  :func:`to_json`
+and :func:`flag_witness` runs ``flag_verdict`` on a built complex, whose
+levels it hands over as a store would, refusing levels above its depth,
+where the store builds face levels as the walk reaches them.  :func:`to_json`
 is a graph's compact ``dualgraph/1`` text, the form the CLI reads, and
 :func:`level_json` a level's ``stratumset/1`` text dumped as one object,
 where ``enumeration._write_level`` writes it one graph at a time.  The
@@ -49,10 +49,10 @@ from strata import (
     StratumStore,
     canonical_key,
     divisor_set,
+    flag_verdict,
     intersection_components,
     one_vertex,
 )
-from strata.complexes import _flag_walk
 from strata.enumeration import GENERATOR_VERSION, STRATUMSET_SCHEMA, children
 from strata.graphs import _edge_sides, _leaves, _relabeled, divisor_graph
 
@@ -564,6 +564,21 @@ def is_face(C: BoundaryComplex, indices) -> bool:
     return face in C.faces.get(len(face), ())
 
 
+class _ComplexFaces:
+    """A built complex as the face source ``flag_verdict`` reads, level by level."""
+
+    def __init__(self, C: BoundaryComplex) -> None:
+        self.C = C
+
+    def faces(self, sig: GnSignature, j: int):
+        depth = max(self.C.faces, default=0)
+        if j > depth:
+            raise ValueError(
+                f"complex truncated at max_dim={depth}; flag check reached a clique of size {j}"
+            )
+        return self.C.faces[j]
+
+
 def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
     """The eager twin of ``flag_verdict``: the same clique walk on a built complex.
 
@@ -576,16 +591,7 @@ def flag_witness(C: BoundaryComplex) -> tuple[bytes, ...] | None:
     depth = max(C.faces, default=0)
     if depth < 2 <= min(C.signature.dim, len(C.vertices)):
         raise ValueError(f"complex truncated at max_dim={depth}; it has no 1-skeleton")
-
-    def face_test(face: tuple[bytes, ...]) -> bool:
-        if len(face) > depth:
-            raise ValueError(
-                f"complex truncated at max_dim={depth}; "
-                f"flag check reached a clique of size {len(face)}"
-            )
-        return face in C.faces[len(face)]
-
-    return _flag_walk(C.faces.get(2, ()), face_test, C.signature.dim)
+    return flag_verdict(C.signature, _ComplexFaces(C))
 
 
 def intersect_nonempty(S: DivisorSet, store: StratumStore) -> bool:

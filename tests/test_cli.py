@@ -438,6 +438,23 @@ def test_verify_negative_cells_report_witnesses(capsys):
     assert len(row["witness"]) == 3
 
 
+def test_verify_text_prints_whole_witness_keys(capsys):
+    """The text witness column is the json row's hex keys joined by commas, none truncated."""
+    argv = ("verify", "--g", "2", "--n", "2:3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = re.sub(r"\b\d+\.\d\ds\b", "T.TTs", out).splitlines()
+    assert lines == [
+        "     sig predicted  computed  agree     time  witness",
+        "   (2,2)      True      True   True    T.TTs  ",
+        "   (2,3)     False     False   True    T.TTs  67312c313b65302d313b6c302c312c31,"
+        "67312c313b65302d313b6c312c302c31,67312c313b65302d313b6c312c312c30",
+    ]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    witnesses = [",".join(row["witness"] or ()) for row in json.loads(out)]
+    assert [line.split("T.TTs  ")[1] for line in lines[1:]] == witnesses
+
+
 def test_verify_disagreement_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("strata.cli.predicted_flag", lambda sig: True)
     code, out, _ = run(capsys, "verify", "--g", "2", "--n", "2:3", "--format", "json")

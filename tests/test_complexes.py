@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from hashlib import sha256
 from itertools import combinations
 from math import factorial
 
@@ -18,6 +19,7 @@ from strata import (
     high_genus,
     intersection_components,
     is_degeneration,
+    key_to_hex,
     one_vertex,
     pinwheel,
     predicted_flag,
@@ -355,6 +357,59 @@ def test_witness_is_lexicographically_minimal(store):
     assert nonface_triples
     expected = tuple(C.vertices[t] for t in nonface_triples[0])
     assert witness == expected
+
+
+# sha256 of the witness's hex keys joined by commas, as the ``verify`` text prints them.
+WITNESS_DIGESTS = {
+    (2, 3): "07dbd456d4a89a1b8ce91ec31e8b6a9bb61d968b8458ea72376df69f1746afd7",
+    (2, 4): "2c28dc0f4178bc874c08b0b9f91884e4bb88e900b830455348a51e29085869c6",
+    (2, 5): "3069128fb97e1e90c2171d663468843629f384f9a1fd340f57491acba35af1ee",
+    (3, 2): "525fe4711153333bec7beacfd3431588b778449075126b4e62d81fbdb2f80192",
+    (3, 3): "bb5fd15c5205af369ba0ade8494897640fb577d3ef872564783e6c2906cf3ae5",
+    (3, 4): "084dc3cf3e1c36fd7fad1a28ee6feb7c0cc368c326d8846581f2e610cc3166ca",
+    (4, 2): "da0ed8338ec722efa6f64a48dfc399c3855c2c702c9a769efc52b5a3ebf05165",
+    (4, 3): "75c110547ffe8572319c58520aed8742236cc8b8cdf108c1be3cb7cb62f1643d",
+    (5, 2): "50587dad24198a534c3a75700af35505e95b92f29ff44cacd28a81a5f6415f28",
+}
+
+
+def test_witness_bytes_are_pinned(store):
+    digests = {}
+    for g, n in WITNESS_DIGESTS:
+        witness = flag_verdict(GnSignature(g, n), store)
+        digests[g, n] = sha256(",".join(map(key_to_hex, witness)).encode()).hexdigest()
+    assert digests == WITNESS_DIGESTS
+
+
+class _RecordingStore(StratumStore):
+    """A store that records the size of each face level asked for."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[int] = []
+
+    def faces(self, sig, k):
+        self.asked.append(k)
+        return super().faces(sig, k)
+
+
+@pytest.mark.parametrize(
+    "g,n,asked",
+    [
+        (0, 4, []),
+        (1, 1, []),
+        (1, 4, [2, 3, 4]),
+        (0, 6, [2, 3]),
+        (2, 2, [2, 3]),
+        (2, 3, [2, 3]),
+        (5, 2, [2, 3]),
+    ],
+)
+def test_flag_verdict_reads_each_face_level_it_reaches_once(g, n, asked):
+    """Below dimension 2 no level is read; (2,2) is flag at dimension 5 but has no 4-clique."""
+    recorder = _RecordingStore()
+    flag_verdict(GnSignature(g, n), recorder)
+    assert recorder.asked == asked
 
 
 def test_witness_for_probe(store):

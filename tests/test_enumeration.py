@@ -198,6 +198,11 @@ def test_level_requires_k_in_range(store):
         store.level(GnSignature(0, 3), 1)
 
 
+def test_budget_must_be_positive():
+    with pytest.raises(ValueError, match="max_graphs must be positive"):
+        StratumStore(max_graphs=0)
+
+
 def test_budget_overflow_is_an_error():
     tight = StratumStore(max_graphs=3)
     with pytest.raises(BudgetExceededError):
@@ -571,6 +576,41 @@ def test_disconnected_cached_graph_regenerated(tmp_path):
     path.write_text(json.dumps(payload))
     assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2)) == expected
     assert bad not in json.loads(path.read_text())["graphs"]
+
+
+@pytest.mark.parametrize(
+    "genus,edges,legs",
+    [
+        ([1, 1], [[0, 1], [0, 1]], [0, 0]),  # genus 3
+        ([1, 0], [[0, 1], [1, 1]], [1, 1, 1]),  # three marks
+        ([1, 1], [[0, 1]], [0, 0]),  # one edge
+        ([2, 0, 0], [[0, 1], [1, 2]], [2, 2]),  # a genus-0 vertex of valence 2
+    ],
+    ids=["genus", "marks", "edges", "unstable"],
+)
+def test_self_consistent_cache_with_a_foreign_graph_regenerated(tmp_path, genus, edges, legs):
+    """A level file whose count and digest match its graphs still has each graph checked.
+
+    Each foreign graph fails exactly one of the per-graph checks (total
+    genus, mark count, edge count, stability) and passes the validating
+    constructor, so only that check stands between it and the level.
+    """
+    sig = GnSignature(2, 2)
+    expected = tuple(StratumStore(cache_dir=tmp_path).level(sig, 2))
+    path = tmp_path / "g2n2" / "k2.json"
+    cold = path.read_bytes()
+    payload = json.loads(cold)
+    payload["graphs"][0] = {
+        "schema": "dualgraph/1",
+        "genus": genus,
+        "edges": edges,
+        "legs": {str(m + 1): v for m, v in enumerate(legs)},
+    }
+    keys = sorted({canonical_key(DualGraph.from_json_obj(G)) for G in payload["graphs"]})
+    payload.update(count=len(keys), sha256=sha256(b"\n".join(keys)).hexdigest())
+    path.write_text(json.dumps(payload))
+    assert tuple(StratumStore(cache_dir=tmp_path).level(sig, 2)) == expected
+    assert path.read_bytes() == cold
 
 
 @pytest.mark.parametrize("field", ["count", "sha256"])

@@ -134,6 +134,11 @@ def test_invalid_signatures_rejected(g, n):
         GnSignature(g, n)
 
 
+def test_negative_signature_rejected():
+    with pytest.raises(InvalidSignatureError, match=r"^negative signature \(-1,3\)$"):
+        GnSignature(-1, 3)
+
+
 def test_signature_dim():
     assert GnSignature(0, 3).dim == 0
     assert GnSignature(2, 2).dim == 5
@@ -356,6 +361,12 @@ def test_fewer_edges_never_degenerate_more():
     one_edge = two_vertex_divisor(1, (1, 2), 1, ())
     two_edges = chain([(1, (1, 2)), (0, ())], loop_at_end=True)
     assert not is_degeneration(one_edge, two_edges)
+
+
+def test_degenerations_keep_the_signature():
+    G = chain([(1, (1, 2)), (0, ())], loop_at_end=True)
+    assert not is_degeneration(G, one_vertex(2, 3))
+    assert not is_degeneration(G, one_vertex(3, 2))
 
 
 def test_degeneration_to_a_divisor_is_support_membership_exhaustively(store):

@@ -90,6 +90,11 @@ def test_divisor_set_rejects_non_divisors(store):
         divisor_set(GnSignature(2, 2), [one_vertex(2, 2)], store)
 
 
+def test_divisor_set_rejects_other_types(store):
+    with pytest.raises(TypeError, match=r"^cannot interpret 1\.5 as a divisor$"):
+        divisor_set(GnSignature(2, 2), [1.5], store)
+
+
 def star(leaves: int) -> DualGraph:
     """A genus-0 centre joined to ``leaves`` genus-1 vertices: (leaves, 0), leaves edges."""
     return DualGraph((0,) + (1,) * leaves, tuple((0, v) for v in range(1, leaves + 1)), ())

@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of the ``strata`` CLI between two checkouts.
 
-Runs one fixed list of 309 invocations against ``OLD/src`` and ``NEW/src``,
+Runs one fixed list of 311 invocations against ``OLD/src`` and ``NEW/src``,
 each in a fresh interpreter with ``STRATA_CACHE_DIR`` unset (older checkouts
 read it) and its own empty working directory holding the fixture files the
 error cases read.  Exit code, stdout, stderr and the files the invocation
@@ -18,7 +18,9 @@ and to ``--max-dim 2`` in every format, ``flag-check``, ``witness`` and
 the first four divisors, on the cells below; ``enumerate --g 4 --n 0`` json
 at every k (legless graphs, rich in loops and parallel edges);
 ``flag-check`` and ``witness`` in text and json at (0,4) and (1,1), below
-dimension 2; ``paper-suite`` in text and json; ``flag-check --g 1 --n 4``
+dimension 2; ``paper-suite`` in text and json; the witnesses of
+``witness --g 2 --n 5`` in json and ``flag-check --g 4 --n 2`` in text,
+outside the cells; ``flag-check --g 1 --n 4``
 and ``enumerate --g 2 --n 3 --k 4`` in json, each writing its levels to the
 new cache directory ``fresh``;
 ``complex --g 1 --n 6`` json, a large complex (945 facets of six divisors),
@@ -154,6 +156,11 @@ def invocations(old: Path) -> list[list[str]]:
         for f in ("text", "json")
     ]
     calls += [["paper-suite", "--format", f] for f in ("text", "json")]
+    # Witnesses outside CELLS.
+    calls += [
+        ["witness", "--g", "2", "--n", "5", "--format", "json"],
+        ["flag-check", "--g", "4", "--n", "2"],
+    ]
     calls.append(["complex", "--g", "1", "--n", "6", "--format", "json"])
     calls.append(["complex", "--g", "0", "--n", "8", "--format", "json"])
     # Level files written to an empty cache directory.
